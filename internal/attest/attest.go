@@ -91,9 +91,9 @@ func MeasureManifest(man libos.Manifest, cfg sgx.Config) Measurement {
 }
 
 // MeasureEnclave returns a built enclave's launch measurement (the
-// EEXTEND chain the machine accumulated while loading it), in
-// attestation form.
-func MeasureEnclave(enc *enclave.Enclave) Measurement { return Measurement(enc.Measurement) }
+// EEXTEND chain over the pages the machine loaded, computed on the
+// enclave's first measurement read), in attestation form.
+func MeasureEnclave(enc *enclave.Enclave) Measurement { return Measurement(enc.Measurement()) }
 
 // Quote is a remote-attestation quote: a report (measurement + report
 // data) signed by the platform's quoting key. ReportData carries the

@@ -2,6 +2,13 @@
 // enclave: its identity, virtual address range, launch-time
 // measurement, and in-enclave heap.
 //
+// The launch measurement is computed on first read. A build records
+// the image it added (RecordImage: loader pages with FillImagePage
+// content, then zero heap pages) instead of hashing each page as it
+// goes; Measurement replays the EEXTEND chain over that recipe once
+// and keeps the result. The digest is byte-identical to hashing at
+// build time, and runs that never read it never pay for it.
+//
 // The expensive parts of an enclave's life — paging its contents
 // through the EPC, transitions, TLB flushes — are driven by the
 // machine (package sgx); this package holds the bookkeeping.
@@ -12,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"sgxgauge/internal/mem"
 )
@@ -30,14 +38,18 @@ type Enclave struct {
 	// pages through the EPC at launch to compute the measurement
 	// (paper §3.2.1, Appendix D).
 	SizePages int
-	// Measurement is the SHA-256 launch measurement (MRENCLAVE
-	// analogue) computed over every page added at build time.
-	Measurement [32]byte
 
-	heapNext   uint64
-	hash       [32]byte // running measurement state (chained SHA-256)
-	launched   bool
-	abortCause error
+	heapNext uint64
+	hash     [32]byte // running measurement state (chained SHA-256)
+	// digest and hdr are the reused SHA-256 state and page-header
+	// scratch of extend, so extending allocates nothing per page.
+	digest hash.Hash
+	hdr    [8]byte
+	// imagePages and reservePages are the image recorded by
+	// RecordImage; Measurement folds them into hash on first read.
+	imagePages, reservePages int
+	launched                 bool
+	abortCause               error
 }
 
 // New creates an un-launched enclave covering
@@ -67,26 +79,100 @@ func (e *Enclave) PageID(addr uint64) mem.PageID {
 }
 
 // ExtendMeasurement folds one added page into the launch measurement
-// (the EEXTEND step). The machine calls this once per page while
-// building the enclave.
+// (the EEXTEND step): hash = SHA-256(hash || vpn || page). A build
+// that adds pages with arbitrary content calls it once per page, in
+// build order; a build whose content follows the standard image uses
+// RecordImage instead. Extending a launched enclave panics.
 func (e *Enclave) ExtendMeasurement(vpn uint64, f *mem.Frame) {
-	h := sha256.New()
-	h.Write(e.hash[:])
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], vpn)
-	h.Write(hdr[:])
-	h.Write(f.Data[:])
-	copy(e.hash[:], h.Sum(nil))
+	if e.launched {
+		panic("enclave: ExtendMeasurement after FinishLaunch")
+	}
+	e.extend(vpn, f)
 }
 
-// FinishLaunch seals the measurement; further ExtendMeasurement calls
-// are a bug.
+func (e *Enclave) extend(vpn uint64, f *mem.Frame) {
+	if e.digest == nil {
+		e.digest = sha256.New()
+	}
+	h := e.digest
+	h.Reset()
+	h.Write(e.hash[:])
+	binary.LittleEndian.PutUint64(e.hdr[:], vpn)
+	h.Write(e.hdr[:])
+	h.Write(f.Data[:])
+	h.Sum(e.hash[:0])
+}
+
+// RecordImage records that the build added imagePages pages starting
+// at Base, in order, after any pages passed to ExtendMeasurement: the
+// first reservePages hold FillImagePage content and the rest are zero
+// (EADDed heap). The measurement over them is computed on the first
+// Measurement call, not here. An enclave records at most one image,
+// before FinishLaunch.
+func (e *Enclave) RecordImage(imagePages, reservePages int) {
+	if e.launched || e.imagePages != 0 {
+		panic("enclave: RecordImage after FinishLaunch or a previous RecordImage")
+	}
+	if reservePages < 0 || reservePages > imagePages || imagePages > e.SizePages {
+		panic(fmt.Sprintf("enclave: invalid image %d/%d pages in a %d-page enclave", reservePages, imagePages, e.SizePages))
+	}
+	e.imagePages, e.reservePages = imagePages, reservePages
+}
+
+// FinishLaunch ends the build and fixes the measurement (a recorded
+// image is still hashed on first read); ExtendMeasurement and
+// RecordImage panic afterwards.
 func (e *Enclave) FinishLaunch() {
 	if e.launched {
 		panic("enclave: FinishLaunch called twice")
 	}
-	e.Measurement = e.hash
 	e.launched = true
+}
+
+// Measurement returns the SHA-256 launch measurement (MRENCLAVE
+// analogue) over every page added at build time, or the zero digest
+// before FinishLaunch. The first call after launch hashes the recorded
+// image; later calls return the kept result. Like the rest of the
+// enclave state it is not safe for concurrent use.
+func (e *Enclave) Measurement() [32]byte {
+	if !e.launched {
+		return [32]byte{}
+	}
+	if e.imagePages > 0 {
+		e.measureImage()
+	}
+	return e.hash
+}
+
+// measureImage folds the recorded image into the measurement chain.
+// Loader pages come first, so one frame serves the whole build: it is
+// refilled per loader page (FillImagePage writes the same bytes each
+// time and leaves the rest zero) and cleared once for the heap pages.
+func (e *Enclave) measureImage() {
+	f := new(mem.Frame)
+	vpn := mem.PageNumber(e.Base)
+	for i := 0; i < e.imagePages; i++ {
+		if i < e.reservePages {
+			FillImagePage(f, uint64(i))
+		} else if i == e.reservePages {
+			clear(f.Data[:])
+		}
+		e.extend(vpn+uint64(i), f)
+	}
+	e.imagePages, e.reservePages = 0, 0
+}
+
+// FillImagePage writes the deterministic pseudo-content of loader
+// image page idx into a zeroed frame, so measurements are stable and
+// non-trivial. It writes one byte in eight; the rest stay zero.
+func FillImagePage(f *mem.Frame, idx uint64) {
+	x := idx*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
+	for i := 0; i < mem.PageSize; i += 8 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		f.Data[i] = byte(x)
+	}
 }
 
 // Launched reports whether the enclave finished its build phase.

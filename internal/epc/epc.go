@@ -422,13 +422,10 @@ func (e *EPC) evictBatch(clk *cycles.Clock, costs *cycles.CostModel) error {
 	}
 	e.evSealed = e.evSealed[:n]
 	for i := range e.evSealed {
-		// Recycle a retired sealed page if the store has one, and
-		// seal through the EPC's long-lived batch — same bytes as
-		// mee.SealBatch, without re-deriving the AEAD per storm.
+		// Seal into store-provided storage (recycled or slab) through
+		// the EPC's long-lived batch — same bytes as mee.SealBatch,
+		// without re-deriving the AEAD per storm.
 		sp := e.backing.Reserve()
-		if sp == nil {
-			sp = &mem.SealedPage{}
-		}
 		e.crypt.SealPageInto(sp, e.evIDs[i], e.evVers[i], e.evFrames[i])
 		e.evSealed[i] = sp
 	}
@@ -507,9 +504,6 @@ func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error
 	ver := e.versions.get(id) + 1
 	e.versions.set(id, ver)
 	sp := e.backing.Reserve()
-	if sp == nil {
-		sp = &mem.SealedPage{}
-	}
 	e.crypt.SealPageInto(sp, id, ver, &e.frames[idx])
 	e.backing.Put(sp)
 	if e.tree != nil {

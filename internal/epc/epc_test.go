@@ -375,3 +375,89 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// poison fills every byte of a sealed page with 0xFF.
+func poison(sp *mem.SealedPage) {
+	sp.ID = mem.PageID{Enclave: ^uint32(0), VPN: ^uint64(0)}
+	sp.Version = ^uint64(0)
+	for i := range sp.Ciphertext {
+		sp.Ciphertext[i] = 0xFF
+	}
+	for i := range sp.MAC {
+		sp.MAC[i] = 0xFF
+	}
+}
+
+// TestPoisonedSealStorageSealsLikeZero checks that sealing overwrites
+// every field of the storage Reserve hands out, so recycled or slab
+// pages holding stale bytes seal exactly like a zero-value page.
+func TestPoisonedSealStorageSealsLikeZero(t *testing.T) {
+	var f mem.Frame
+	for i := range f.Data {
+		f.Data[i] = byte(i * 7)
+	}
+	b := mee.New(1).NewBatch()
+	var zero, dirty mem.SealedPage
+	poison(&dirty)
+	b.SealPageInto(&zero, id(5), 3, &f)
+	b.SealPageInto(&dirty, id(5), 3, &f)
+	if zero != dirty {
+		t.Fatal("sealing into a poisoned page differs from sealing into a zero page")
+	}
+
+	// Through the EPC: one store starts with a free list of poisoned
+	// pages (carved from its slab, then retired), the other is fresh.
+	run := func(backing *mem.BackingStore) *mem.BackingStore {
+		e := New(32, mee.New(1), backing, &perf.Counters{})
+		clk, costs := &cycles.Clock{}, cycles.DefaultCosts()
+		for v := uint64(0); v < 200; v++ {
+			fr := mustAlloc(t, e, clk, &costs, id(v))
+			fr.Data[v%mem.PageSize] = byte(v) | 1
+		}
+		return backing
+	}
+	dirtyStore := mem.NewBackingStore()
+	for v := uint64(0); v < 100; v++ {
+		sp := dirtyStore.Reserve()
+		poison(sp)
+		sp.ID = mem.PageID{Enclave: 99, VPN: v}
+		dirtyStore.Put(sp)
+	}
+	dirtyStore.DropEnclave(99)
+	want, got := run(mem.NewBackingStore()), run(dirtyStore)
+	if want.Len() != got.Len() || want.Len() == 0 {
+		t.Fatalf("stores hold %d and %d sealed pages", want.Len(), got.Len())
+	}
+	for v := uint64(0); v < 200; v++ {
+		w, g := want.Get(id(v)), got.Get(id(v))
+		if (w == nil) != (g == nil) || (w != nil && *w != *g) {
+			t.Fatalf("page %d seals differently on recycled poisoned storage", v)
+		}
+	}
+}
+
+// TestEvictionStormAllocations guards the slab: sealing evicted pages
+// must not allocate per page.
+func TestEvictionStormAllocations(t *testing.T) {
+	e, _, clk, costs := newTestEPC(64)
+	next := uint64(0)
+	storm := func() {
+		for i := 0; i < 1024; i++ {
+			if _, err := e.AllocPage(clk, &costs, id(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	storm() // fill the EPC and warm the eviction scratch
+	evictions := e.counters.Get(perf.EPCEvictions)
+	allocs := testing.AllocsPerRun(8, storm)
+	perStorm := float64(e.counters.Get(perf.EPCEvictions)-evictions) / 9 // AllocsPerRun adds a warm-up call
+	if perStorm < 1000 {
+		t.Fatalf("%v evictions per storm, want ~1024", perStorm)
+	}
+	if limit := perStorm / 32; allocs > limit {
+		t.Errorf("eviction storm allocates %v objects for %v evicted pages, want <= %v", allocs, perStorm, limit)
+	}
+	t.Logf("%v allocations per %v evictions", allocs, perStorm)
+}

@@ -322,3 +322,18 @@ func TestLoaderPagesHavePseudoContentHeapIsZero(t *testing.T) {
 	}
 	_ = m
 }
+
+// BenchmarkLibOSBoot times one cold LibOS boot at EPC 1024: building,
+// evicting and sealing the 44x-EPC enclave on a fresh machine per
+// iteration. Divide ns/op by 1024*sgx.LibOSEnclaveFactor for the
+// per-page boot cost. The launch measurement is not read, so it is not
+// computed.
+func BenchmarkLibOSBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := sgx.NewMachine(sgx.Config{EPCPages: 1024})
+		if _, err := Start(m, osal.NewFS(), Manifest{Binary: "bench"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 type Batch struct {
 	e       *Engine
 	aead    cipher.AEAD
-	scratch [mem.PageSize + 16]byte
+	scratch pageScratch
 }
 
 // NewBatch returns a Batch sharing the engine's keys.

@@ -64,25 +64,29 @@ func New(seed uint64) *Engine {
 	return &e
 }
 
-// nonce derives the 16-byte GCM nonce for a page from its identity
-// and version; every (page, version) pair gets a distinct nonce so key
-// streams and tags are never reused.
-func nonce(id mem.PageID, version uint64) [aes.BlockSize]byte {
-	var iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint32(iv[0:4], id.Enclave)
-	binary.LittleEndian.PutUint64(iv[4:12], id.VPN)
-	binary.LittleEndian.PutUint32(iv[12:16], uint32(version))
-	return iv
+// pageScratch holds the buffers of one page seal or unseal: the GCM
+// output (ciphertext ∥ tag), the nonce and the authenticated header.
+// They reach the AEAD through an interface and so escape; a Batch keeps
+// one pageScratch for its lifetime, so sealing allocates nothing per
+// page.
+type pageScratch struct {
+	buf [mem.PageSize + 16]byte
+	iv  [aes.BlockSize]byte
+	hdr [20]byte
 }
 
-// pageHeader is the additional authenticated data bound into a page's
-// GCM tag: full identity and full 64-bit version.
-func pageHeader(id mem.PageID, version uint64) [20]byte {
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], id.Enclave)
-	binary.LittleEndian.PutUint64(hdr[4:12], id.VPN)
-	binary.LittleEndian.PutUint64(hdr[12:20], version)
-	return hdr
+// setPage derives the 16-byte GCM nonce and the additional
+// authenticated data for a page from its identity and version. Every
+// (page, version) pair gets a distinct nonce so key streams and tags
+// are never reused; the header binds the full identity and full
+// 64-bit version into the tag.
+func (s *pageScratch) setPage(id mem.PageID, version uint64) {
+	binary.LittleEndian.PutUint32(s.iv[0:4], id.Enclave)
+	binary.LittleEndian.PutUint64(s.iv[4:12], id.VPN)
+	binary.LittleEndian.PutUint32(s.iv[12:16], uint32(version))
+	binary.LittleEndian.PutUint32(s.hdr[0:4], id.Enclave)
+	binary.LittleEndian.PutUint64(s.hdr[4:12], id.VPN)
+	binary.LittleEndian.PutUint64(s.hdr[12:20], version)
 }
 
 // pageAEAD builds the page AEAD: AES-128-GCM with the engine's full
@@ -103,13 +107,13 @@ func (e *Engine) pageAEAD() cipher.AEAD {
 // memory. The version must be the page's next (monotonically
 // increasing) version number.
 func (e *Engine) SealPage(id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
-	return sealPage(e.pageAEAD(), &[mem.PageSize + 16]byte{}, id, version, f)
+	return sealPage(e.pageAEAD(), &pageScratch{}, id, version, f)
 }
 
 // UnsealPage decrypts sp into f after verifying its MAC and checking
 // that its version matches expectVersion (freshness).
 func (e *Engine) UnsealPage(sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
-	return unsealPage(e.pageAEAD(), &[mem.PageSize + 16]byte{}, sp, expectVersion, f)
+	return unsealPage(e.pageAEAD(), &pageScratch{}, sp, expectVersion, f)
 }
 
 // sealPage runs one GCM seal through the given AEAD into the caller's
@@ -117,7 +121,7 @@ func (e *Engine) UnsealPage(sp *mem.SealedPage, expectVersion uint64, f *mem.Fra
 // page. Batch passes a long-lived AEAD and scratch; Engine builds
 // per-call ones. The output depends only on the keys and inputs, so
 // both produce byte-identical sealed pages.
-func sealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
+func sealPage(aead cipher.AEAD, scratch *pageScratch, id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
 	sp := &mem.SealedPage{}
 	sealPageInto(aead, scratch, sp, id, version, f)
 	return sp
@@ -126,12 +130,11 @@ func sealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID,
 // sealPageInto seals into a caller-provided SealedPage, overwriting
 // every field — the destination may be recycled storage with stale
 // contents (mem.BackingStore.Reserve).
-func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
+func sealPageInto(aead cipher.AEAD, scratch *pageScratch, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
 	sp.ID = id
 	sp.Version = version
-	iv := nonce(id, version)
-	hdr := pageHeader(id, version)
-	out := aead.Seal(scratch[:0], iv[:], f.Data[:], hdr[:])
+	scratch.setPage(id, version)
+	out := aead.Seal(scratch.buf[:0], scratch.iv[:], f.Data[:], scratch.hdr[:])
 	copy(sp.Ciphertext[:], out[:mem.PageSize])
 	copy(sp.MAC[:], out[mem.PageSize:])
 }
@@ -139,15 +142,14 @@ func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.Se
 // unsealPage is sealPage's inverse: rollback check, then GCM open
 // (which verifies the tag over ciphertext, identity and version before
 // releasing any plaintext).
-func unsealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
+func unsealPage(aead cipher.AEAD, scratch *pageScratch, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
 	if sp.Version != expectVersion {
 		return ErrRollback
 	}
-	iv := nonce(sp.ID, sp.Version)
-	hdr := pageHeader(sp.ID, sp.Version)
-	n := copy(scratch[:], sp.Ciphertext[:])
-	copy(scratch[n:], sp.MAC[:])
-	if _, err := aead.Open(f.Data[:0], iv[:], scratch[:], hdr[:]); err != nil {
+	scratch.setPage(sp.ID, sp.Version)
+	n := copy(scratch.buf[:], sp.Ciphertext[:])
+	copy(scratch.buf[n:], sp.MAC[:])
+	if _, err := aead.Open(f.Data[:0], scratch.iv[:], scratch.buf[:], scratch.hdr[:]); err != nil {
 		return ErrMACMismatch
 	}
 	return nil

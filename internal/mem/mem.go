@@ -88,6 +88,11 @@ type SealedPage struct {
 // BackingStore is the untrusted main memory region that receives
 // evicted (sealed) EPC pages. It is safe for concurrent use.
 //
+// Sealed pages live in slabs: Reserve carves them sealedSlabPages at a
+// time from one []SealedPage allocation, and dead entries are recycled
+// through a bounded free list before the slab is touched. An eviction
+// storm therefore allocates once per slab rather than once per page.
+//
 // A *SealedPage obtained from Get stays valid until that entry is
 // deleted or replaced; afterwards its storage may be recycled through
 // Reserve and overwritten by a later seal. Callers that need a sealed
@@ -96,18 +101,27 @@ type SealedPage struct {
 type BackingStore struct {
 	mu    sync.Mutex
 	pages map[PageID]*SealedPage // guarded by mu
-	// free recycles the storage of dead entries: evicting a page
-	// allocates a 4 KiB+ SealedPage, and an EPC-thrashing run retires
-	// one per load-back, so recycling removes the dominant allocation
-	// of the whole simulation. Bounded so enclave teardown cannot pin
-	// an arbitrary amount of dead memory.
+	// free recycles the storage of dead entries: an EPC-thrashing run
+	// retires one sealed page per load-back and seals another on the
+	// next eviction, so recycling keeps its steady state free of new
+	// storage. Bounded so enclave teardown cannot pin an arbitrary
+	// amount of dead memory.
 	free []*SealedPage // guarded by mu
+	// slab is the not yet carved tail of the current slab.
+	slab []SealedPage // guarded by mu
 }
 
 // maxFreeSealed bounds the recycling list: enough to feed several
-// eviction storms (the EPC seals 16 pages per batch) without
-// retaining more than ~¼ MiB of dead pages.
+// eviction storms (the EPC seals 16 pages per batch) while holding at
+// most 64 dead pages. A dead page keeps its whole slab reachable, so
+// teardown can retain up to that many slabs until the list drains.
 const maxFreeSealed = 64
+
+// sealedSlabPages is how many sealed pages one slab allocation holds
+// (about 260 KiB): large enough that slab allocation is a small share
+// of an eviction storm's allocations, small enough that a machine
+// sealing only a handful of pages does not reserve much.
+const sealedSlabPages = 64
 
 // NewBackingStore returns an empty backing store.
 func NewBackingStore() *BackingStore {
@@ -121,9 +135,11 @@ func (b *BackingStore) recycle(p *SealedPage) {
 	}
 }
 
-// Reserve returns a SealedPage whose storage may be recycled from a
-// dead entry, or nil when none is available (the caller allocates).
-// Every field must be overwritten before the page is stored.
+// Reserve returns storage for one sealed page: a recycled dead entry
+// when there is one, otherwise the next page of the current slab (a
+// new slab when it is used up). It never returns nil. The page may
+// hold a previous seal's bytes, so every field must be overwritten
+// before it is stored.
 func (b *BackingStore) Reserve() *SealedPage {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -132,7 +148,12 @@ func (b *BackingStore) Reserve() *SealedPage {
 		b.free = b.free[:n-1]
 		return p
 	}
-	return nil
+	if len(b.slab) == 0 {
+		b.slab = make([]SealedPage, sealedSlabPages)
+	}
+	p := &b.slab[0]
+	b.slab = b.slab[1:]
+	return p
 }
 
 // Put stores the sealed page, replacing any previous version.

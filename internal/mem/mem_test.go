@@ -116,3 +116,29 @@ func TestPageIDString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+func TestBackingStoreReserveCarvesAndRecycles(t *testing.T) {
+	b := NewBackingStore()
+	seen := map[*SealedPage]bool{}
+	for i := 0; i < 3*sealedSlabPages; i++ {
+		sp := b.Reserve()
+		if sp == nil {
+			t.Fatal("Reserve returned nil")
+		}
+		if seen[sp] {
+			t.Fatalf("Reserve handed out page %p twice", sp)
+		}
+		seen[sp] = true
+		sp.ID = PageID{Enclave: 1, VPN: uint64(i)}
+		b.Put(sp)
+	}
+	if got := testing.AllocsPerRun(10, func() { b.Reserve() }); got != 0 {
+		t.Errorf("Reserve allocates %v objects per page, want one per slab", got)
+	}
+	// A retired entry is handed out again before the slab is touched.
+	dead := b.Get(PageID{Enclave: 1, VPN: 5})
+	b.Delete(PageID{Enclave: 1, VPN: 5})
+	if got := b.Reserve(); got != dead {
+		t.Error("Reserve did not recycle the deleted entry")
+	}
+}

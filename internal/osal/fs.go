@@ -9,6 +9,7 @@ package osal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,11 +35,13 @@ func NewFS() *FS {
 }
 
 // Create installs a file with the given contents, replacing any
-// existing one. It models host-side setup and costs nothing.
+// existing one. It models host-side setup and costs nothing. The file
+// takes data over; growing it later reallocates rather than writing
+// into data's spare capacity.
 func (fs *FS) Create(name string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[name] = &File{Name: name, Data: data}
+	fs.files[name] = &File{Name: name, Data: data[:len(data):len(data)]}
 }
 
 // Remove deletes a file; missing files are ignored.
@@ -49,12 +52,15 @@ func (fs *FS) Remove(name string) {
 }
 
 // Raw returns the live contents of a file for host-side inspection
-// (hash checks, test assertions), or nil when absent.
+// (hash checks, test assertions), or nil when absent. The slice is
+// capped at the file length, so appending to it never writes into the
+// file's spare capacity.
 func (fs *FS) Raw(name string) []byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if f := fs.files[name]; f != nil {
-		return f.Data
+		n := len(f.Data)
+		return f.Data[:n:n]
 	}
 	return nil
 }
@@ -81,12 +87,22 @@ func (fs *FS) PatchRaw(name string, off int, data []byte) {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	if need := off + len(data); need > len(f.Data) {
-		grown := make([]byte, need)
-		copy(grown, f.Data)
-		f.Data = grown
-	}
+	f.Data = growTo(f.Data, off+len(data))
 	copy(f.Data[off:], data)
+}
+
+// growTo returns b extended with zero bytes to length n (b itself when
+// it is already that long). Capacity grows geometrically (slices.Grow),
+// so a run of appending writes copies the file O(log n) times rather
+// than once per write.
+func growTo(b []byte, n int) []byte {
+	old := len(b)
+	if n <= old {
+		return b
+	}
+	b = slices.Grow(b, n-old)[:n]
+	clear(b[old:])
+	return b
 }
 
 // List returns the file names in sorted order.
@@ -183,11 +199,7 @@ func (h *fileHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error
 	if h.closed {
 		return 0, fmt.Errorf("osal: write on closed file %q", h.f.Name)
 	}
-	if need := off + n; need > len(h.f.Data) {
-		grown := make([]byte, need)
-		copy(grown, h.f.Data)
-		h.f.Data = grown
-	}
+	h.f.Data = growTo(h.f.Data, off+n)
 	t.Syscall(uint64(n))
 	t.Read(addr, h.f.Data[off:off+n])
 	return n, nil

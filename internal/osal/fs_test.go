@@ -2,6 +2,7 @@ package osal
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"sgxgauge/internal/mem"
@@ -172,5 +173,82 @@ func TestCreateFileTruncates(t *testing.T) {
 	}
 	if h.Size() != 0 {
 		t.Errorf("CreateFile kept %d bytes", h.Size())
+	}
+}
+
+// TestAppendingWritesAmortized checks that a run of appending writes,
+// through a handle or PatchRaw, builds the same bytes as one-shot
+// growth while reallocating the file only O(log n) times.
+func TestAppendingWritesAmortized(t *testing.T) {
+	const chunk, n = 100, 512
+	m, tr := testEnv()
+	src := make([]byte, chunk)
+	for i := range src {
+		src[i] = byte(i*31 + 7)
+	}
+	buf := m.AllocUntrusted(chunk, 8)
+	tr.Write(buf, src)
+	want := bytes.Repeat(src, n)
+	// Each growth allocates once; allow a constant for the file,
+	// handle and map entry on top of the logarithmic term.
+	limit := float64(2*bits.Len(uint(n*chunk)) + 8)
+
+	fs := NewFS()
+	viaHandle := func() {
+		h, err := fs.CreateFile(tr, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := h.WriteAt(tr, buf, i*chunk, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Close(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viaPatch := func() {
+		fs.Remove("p")
+		for i := 0; i < n; i++ {
+			fs.PatchRaw("p", i*chunk, src)
+		}
+	}
+	for _, c := range []struct {
+		name, file string
+		run        func()
+	}{{"WriteAt", "w", viaHandle}, {"PatchRaw", "p", viaPatch}} {
+		allocs := testing.AllocsPerRun(5, c.run)
+		if got := fs.Raw(c.file); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d appends built %d bytes that differ from the expected %d", c.name, n, len(got), len(want))
+		}
+		if allocs > limit {
+			t.Errorf("%s: %d appends allocate %v objects, want <= %v", c.name, n, allocs, limit)
+		}
+	}
+}
+
+// TestRawIsCapped checks that appending to Raw's result cannot write
+// into the file's spare capacity.
+func TestRawIsCapped(t *testing.T) {
+	fs := NewFS()
+	fs.PatchRaw("f", 0, []byte("abc"))
+	fs.PatchRaw("f", 3, []byte("d")) // leaves spare capacity behind
+	raw := fs.Raw("f")
+	if cap(raw) != len(raw) {
+		t.Fatalf("Raw returned len %d cap %d", len(raw), cap(raw))
+	}
+	_ = append(raw, 'X')
+	fs.PatchRaw("f", 4, []byte("e"))
+	if got := string(fs.Raw("f")); got != "abcde" {
+		t.Errorf("file = %q after appending to a Raw slice", got)
+	}
+
+	// Create takes the caller's slice without its spare capacity.
+	backing := []byte("12345678")
+	fs.Create("g", backing[:2])
+	fs.PatchRaw("g", 2, []byte("zz"))
+	if string(backing) != "12345678" {
+		t.Errorf("growing a created file wrote into the caller's array: %q", backing)
 	}
 }

@@ -71,12 +71,15 @@ func (e *Env) dropThread(t *Thread) {
 // occupies imagePages pages and whose total declared size is sizePages
 // pages. The heap starts right after the image.
 //
-// The build loads every image page through the EPC and extends the
-// measurement — for images larger than the EPC this is where the
+// The build loads every image page through the EPC and charges its
+// EEXTEND — for images larger than the EPC this is where the
 // launch-time eviction storm of Figure 6a comes from ("prior to its
 // execution [an enclave] is loaded completely in the EPC to verify its
 // content", paper §3.2.1). The heap region [imagePages, sizePages) is
 // demand-allocated on first touch (SGX v2 EAUG behaviour, Appendix D).
+// The enclave records the image it was built from; its measurement is
+// computed from that record on first read (Enclave.Measurement), with
+// the simulated hashing cost already charged here.
 func (e *Env) LaunchEnclave(imagePages, sizePages int) (*enclave.Enclave, error) {
 	return e.LaunchEnclaveReserve(imagePages, imagePages, sizePages)
 }
@@ -87,7 +90,9 @@ func (e *Env) LaunchEnclave(imagePages, sizePages int) (*enclave.Enclave, error)
 // including what will become application heap — but reserves only its
 // own loader footprint, so heap accesses after launch hit pages that
 // were EADDed and then evicted (load-backs rather than fresh
-// allocations, paper Appendix D / Figure 9).
+// allocations, paper Appendix D / Figure 9). The recorded image is the
+// reservePages loader pages followed by zero heap pages, which is
+// what the first Measurement read hashes.
 func (e *Env) LaunchEnclaveReserve(imagePages, reservePages, sizePages int) (*enclave.Enclave, error) {
 	if e.Mode == Vanilla {
 		return nil, fmt.Errorf("sgx: LaunchEnclave in Vanilla mode")
@@ -108,7 +113,8 @@ func (e *Env) LaunchEnclaveReserve(imagePages, reservePages, sizePages int) (*en
 	// EADD + EEXTEND each image page. The reserved (loader/binary)
 	// pages get deterministic pseudo-content standing in for the
 	// binary; the remaining measured pages are zero heap pages, as a
-	// Graphene-style loader EADDs them.
+	// Graphene-style loader EADDs them. AllocPage hands out zeroed
+	// frames, so the content is exactly what RecordImage describes.
 	for i := 0; i < imagePages; i++ {
 		id := mem.PageID{Enclave: enc.ID, VPN: mem.PageNumber(enc.Base) + uint64(i)}
 		f, err := e.M.EPC.AllocPage(&t.Clock, c, id)
@@ -119,15 +125,15 @@ func (e *Env) LaunchEnclaveReserve(imagePages, reservePages, sizePages int) (*en
 			return nil, fmt.Errorf("sgx: building enclave page %d: %w", i, err)
 		}
 		if i < reservePages {
-			fillImagePage(f, uint64(i))
+			enclave.FillImagePage(f, uint64(i))
 		}
-		enc.ExtendMeasurement(id.VPN, f)
 		// EEXTEND measures the page in 256-byte chunks; charge a
 		// nominal hashing cost per page, plus the copy/hash cache
 		// traffic of moving the page through the LLC.
 		t.Clock.Advance(c.Compute * 64)
 		e.M.chargePageLoad(t, enc.Base+uint64(i)*mem.PageSize)
 	}
+	enc.RecordImage(imagePages, reservePages)
 	// Reserve the loader/binary region so the heap starts after it.
 	if reservePages > 0 {
 		if _, err := enc.Alloc(uint64(reservePages)*mem.PageSize, 1); err != nil {
@@ -151,18 +157,6 @@ func (e *Env) DestroyEnclave() {
 	}
 	e.M.DestroyEnclave(e.Enclave)
 	e.Enclave = nil
-}
-
-// fillImagePage writes deterministic pseudo-content so measurements
-// are stable and non-trivial.
-func fillImagePage(f *mem.Frame, idx uint64) {
-	x := idx*0x9e3779b97f4a7c15 + 0x243f6a8885a308d3
-	for i := 0; i < mem.PageSize; i += 8 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		f.Data[i] = byte(x)
-	}
 }
 
 // Alloc reserves n bytes of workload memory: enclave heap in Native

@@ -166,7 +166,7 @@ func TestLaunchEnclaveMeasuresImage(t *testing.T) {
 	if !enc.Launched() {
 		t.Error("enclave not launched")
 	}
-	if enc.Measurement == [32]byte{} {
+	if enc.Measurement() == [32]byte{} {
 		t.Error("empty measurement")
 	}
 	if got := m.Counters.Get(perf.EPCAllocs); got != 8 {
