@@ -10,6 +10,11 @@
 // harness.Experiments(), the same registry the sgxgauged daemon's
 // /v1/figures endpoint serves. Runs within an experiment execute on a
 // parallel worker pool (-j); results are identical to a serial run.
+//
+// Stdout holds only the report — a header, then "[id]" and the
+// rendered text of each experiment — and is byte-identical for the
+// same flags at any -j. Per-experiment host timings ("generated in")
+// and progress lines go to stderr.
 package main
 
 import (
@@ -64,7 +69,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sgxreport: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s] (generated in %v)\n%s\n", e.ID, time.Since(start).Round(time.Millisecond), out)
+		// Stdout carries only the report, so the same flags give the
+		// same bytes; host timing goes to stderr.
+		fmt.Printf("[%s]\n%s\n", e.ID, out)
+		fmt.Fprintf(os.Stderr, "sgxreport: [%s] generated in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {

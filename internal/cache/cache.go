@@ -76,6 +76,19 @@ func NewLLC(totalBytes int, ways int) *LLC {
 	}
 }
 
+// CopyFrom makes c's tags, replacement pointers, lookup hints and
+// statistics an exact copy of src's. Both caches must have the same
+// geometry; src is only read.
+func (c *LLC) CopyFrom(src *LLC) {
+	if c.sets != src.sets || c.ways != src.ways {
+		panic(fmt.Sprintf("cache: CopyFrom across geometries (%dx%d from %dx%d)", c.sets, c.ways, src.sets, src.ways))
+	}
+	copy(c.tags, src.tags)
+	copy(c.next, src.next)
+	copy(c.mru, src.mru)
+	c.last, c.hits, c.misses = src.last, src.hits, src.misses
+}
+
 // Sets returns the number of sets.
 func (c *LLC) Sets() int { return c.sets }
 

@@ -27,6 +27,16 @@ func NewL1(totalBytes int) *L1 {
 	return &L1{mask: uint64(p - 1), tags: make([]uint64, p)}
 }
 
+// CopyFrom makes c's tags and statistics an exact copy of src's. Both
+// caches must have the same size; src is only read.
+func (c *L1) CopyFrom(src *L1) {
+	if len(c.tags) != len(src.tags) {
+		panic("cache: L1 CopyFrom across sizes")
+	}
+	copy(c.tags, src.tags)
+	c.hits, c.misses = src.hits, src.misses
+}
+
 // Lines returns the number of line slots.
 func (c *L1) Lines() int { return len(c.tags) }
 

@@ -63,6 +63,17 @@ func New(id uint32, base uint64, sizePages int) *Enclave {
 	return e
 }
 
+// Clone returns an independent copy of the enclave: identity, range,
+// heap cursor, launch state, recorded image and measurement chain,
+// and abort state. e is only read, so several clones may be taken of
+// one frozen enclave concurrently; each computes a recorded image's
+// measurement on its own first read.
+func (e *Enclave) Clone() *Enclave {
+	c := *e
+	c.digest = nil // SHA-256 scratch is per enclave
+	return &c
+}
+
 // Limit returns the first address past the enclave range.
 func (e *Enclave) Limit() uint64 {
 	return e.Base + uint64(e.SizePages)*mem.PageSize

@@ -11,8 +11,10 @@
 package epc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"sgxgauge/internal/cycles"
 	"sgxgauge/internal/mee"
@@ -223,6 +225,53 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 	return e
 }
 
+// CopyFrom makes e's paging state an exact copy of src's: capacity,
+// slot table and frame arena, residency and version indices, free
+// list, CLOCK hand, operation statistics, latency jitter and
+// integrity tree. The MEE, counter bank, backing store and hooks stay
+// e's own; the caller fills the backing store from src's (see
+// mem.BackingStore.Inherit). src is only read, so several EPCs may
+// copy one frozen source concurrently. An EPC sampling a timeline
+// cannot be copied: its samples are stamped by a clock it does not
+// own.
+func (e *EPC) CopyFrom(src *EPC) {
+	if src.timelineEvery != 0 {
+		panic("epc: CopyFrom of an EPC that samples a timeline")
+	}
+	e.capacity = src.capacity
+	e.slots = append(e.slots[:0], src.slots...)
+	e.frames = append(e.frames[:0], src.frames...)
+	e.resident = src.resident.clone()
+	e.free = append(e.free[:0], src.free...)
+	e.hand = src.hand
+	e.versions = src.versions.clone()
+	e.ops = src.ops
+	e.jitter = src.jitter
+	if src.tree != nil {
+		e.tree = src.tree.Clone()
+	}
+}
+
+// Hash writes the slot table and the whole frame arena to h, in slot
+// order.
+func (e *EPC) Hash(h hash.Hash) {
+	var hdr [14]byte
+	for i := range e.slots {
+		s := &e.slots[i]
+		binary.LittleEndian.PutUint32(hdr[0:4], s.id.Enclave)
+		binary.LittleEndian.PutUint64(hdr[4:12], s.id.VPN)
+		hdr[12], hdr[13] = 0, 0
+		if s.used {
+			hdr[12] = 1
+		}
+		if s.referenced {
+			hdr[13] = 1
+		}
+		h.Write(hdr[:])
+		h.Write(e.frames[i].Data[:])
+	}
+}
+
 // Capacity returns the number of pages the EPC can hold.
 func (e *EPC) Capacity() int { return e.capacity }
 
@@ -260,6 +309,9 @@ func (e *EPC) EnableTimeline(clk *cycles.Clock, everyOps uint64) {
 	e.timelineEvery = everyOps
 	e.timeline = e.timeline[:0]
 }
+
+// Sampling reports whether a timeline is being recorded.
+func (e *EPC) Sampling() bool { return e.timelineEvery != 0 }
 
 // Timeline returns the recorded samples.
 func (e *EPC) Timeline() []TimelineEvent { return e.timeline }

@@ -1,6 +1,10 @@
 package epc
 
-import "sgxgauge/internal/mem"
+import (
+	"slices"
+
+	"sgxgauge/internal/mem"
+)
 
 // pageIdx maps resident PageIDs to slot indices. It replaces a Go map
 // on the EPC's hottest paths (every page walk, fault and eviction
@@ -33,6 +37,11 @@ func newPageIdx(capacity int) *pageIdx {
 		p.idxs[i] = -1
 	}
 	return p
+}
+
+// clone returns an independent copy of the table.
+func (p *pageIdx) clone() *pageIdx {
+	return &pageIdx{ids: slices.Clone(p.ids), idxs: slices.Clone(p.idxs), mask: p.mask, n: p.n}
 }
 
 func hashPageID(id mem.PageID) uint64 {
@@ -95,6 +104,11 @@ func newVerIdx() *verIdx {
 		vers: make([]uint64, 64),
 		mask: 63,
 	}
+}
+
+// clone returns an independent copy of the table.
+func (p *verIdx) clone() *verIdx {
+	return &verIdx{ids: slices.Clone(p.ids), vers: slices.Clone(p.vers), mask: p.mask, n: p.n}
 }
 
 // get returns the stored version for id, or 0 when absent.

@@ -46,6 +46,9 @@ type engineOpts struct {
 	clock          Clock
 	ctx            context.Context
 	exec           func(Spec) (*Result, error)
+	// onSnapshot, when set, sees every boot snapshot a batch freezes
+	// and the indices of the specs that will run on its clones.
+	onSnapshot func(members []int, snap *sgx.Snapshot)
 }
 
 // Option configures a Runner.RunAll batch (and the Run/Get wrappers
@@ -123,14 +126,16 @@ func WithContext(ctx context.Context) Option {
 }
 
 // runBatch is the parallel engine every harness entry point feeds:
-// it executes every spec on the worker pool, booting one independent
-// simulated machine per spec in its own goroutine. Results are
-// returned in input order regardless of completion order, and each
+// it executes every spec on the worker pool, each on an independent
+// simulated machine in its own goroutine. LibOS specs that share a
+// boot key run consecutively on clones of one frozen post-boot machine
+// (see planBoots); every other spec boots its own. Results are
+// returned in input order regardless of execution order, and each
 // spec's deterministic seeding is untouched, so a batch is
-// bit-for-bit identical to running the same specs serially. A spec
-// that errors or panics yields a Result with Err set instead of
-// aborting its siblings; the error return is engine-level only
-// (context cancellation).
+// bit-for-bit identical to running the same specs serially on fresh
+// machines. A spec that errors or panics yields a Result with Err set
+// instead of aborting its siblings; the error return is engine-level
+// only (context cancellation).
 func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 	if o.clock == nil {
 		o.clock = RealClock{}
@@ -140,9 +145,13 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(specs))
+	order, seats := planBoots(specs, &o)
 	var mu sync.Mutex
 	completed := 0
-	forEach(len(specs), o.workers, func(i int) {
+	forEach(len(specs), o.workers, func(k int) {
+		i := order[k]
+		seat := seats[i]
+		defer seat.leave()
 		start := o.clock.Now()
 		if err := ctx.Err(); err != nil {
 			results[i] = failedResult(specs[i], err)
@@ -166,7 +175,7 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 				results[i].Attempts = 1
 			}
 		} else {
-			res, attempts, err := runWithRetry(ctx, specs[i], &o)
+			res, attempts, err := runWithRetry(ctx, specs[i], &o, seat)
 			if res != nil {
 				results[i] = *res
 				results[i].Err = err
@@ -207,11 +216,12 @@ func execBatch(specs []Spec, opts ...Option) ([]Result, error) {
 // runWithRetry executes the spec, re-running it on transient injected
 // faults per the engine's retry policy. It returns the last attempt's
 // result (possibly a partial, fault-bearing one), how many attempts
-// ran, and the last error. Backoff sleeps are bound to the batch
-// context: a cancelled batch stops waiting immediately and surfaces
-// the last attempt's transient error instead of sleeping out the rest
-// of an exponential schedule nobody will read.
-func runWithRetry(ctx context.Context, spec Spec, o *engineOpts) (*Result, int, error) {
+// ran, and the last error. Only the first attempt uses the seat; a
+// retry boots afresh. Backoff sleeps are bound to the batch context:
+// a cancelled batch stops waiting immediately and surfaces the last
+// attempt's transient error instead of sleeping out the rest of an
+// exponential schedule nobody will read.
+func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, seat *bootSeat) (*Result, int, error) {
 	var res *Result
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -220,7 +230,10 @@ func runWithRetry(ctx context.Context, spec Spec, o *engineOpts) (*Result, int, 
 			derived := s.Chaos.WithAttempt(attempt)
 			s.Chaos = &derived
 		}
-		res, err = runSafe(s)
+		if attempt > 0 {
+			seat = nil
+		}
+		res, err = runSafe(s, seat)
 		if err == nil || attempt >= o.retries || !sgx.IsTransient(err) {
 			return res, attempt + 1, err
 		}
@@ -243,15 +256,15 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runSafe is Run with panic containment: one bad config surfaces as
-// an error instead of killing the whole sweep.
-func runSafe(spec Spec) (res *Result, err error) {
+// runSafe is runSpec with panic containment: one bad config surfaces
+// as an error instead of killing the whole sweep.
+func runSafe(spec Spec, seat *bootSeat) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: run panicked: %v", r)
 		}
 	}()
-	return runOne(spec)
+	return runSpec(spec, seat)
 }
 
 // failedResult echoes what identification the spec offers alongside

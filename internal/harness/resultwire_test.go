@@ -100,3 +100,53 @@ func TestDecodeResultRejectsForeign(t *testing.T) {
 		}
 	}
 }
+
+// FuzzResultWire: decoding arbitrary bytes as a result never panics,
+// and anything that decodes reaches its canonical form in one round:
+// decode → encode → decode → encode reproduces the first encoding and
+// the same Result.
+func FuzzResultWire(f *testing.F) {
+	res, err := runOne(Spec{Workload: suite.Empty(), Mode: sgx.LibOS, Size: workloads.Low, EPCPages: 64, Seed: 1, Timeline: 512})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []*Result{res, {Name: "BTree", Mode: sgx.Native, Err: errors.New("harness: boom"), Attempts: 2}} {
+		data, err := EncodeResult(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x","mode":"vanilla","params":{"size":"Low","knobs":{}},"cycles":1,"counters":{"accesses":0},"output":{"Checksum":0,"Ops":0,"MeanLatency":0,"Extra":{}},"timeline":[],"attempts":0}`))
+	f.Add([]byte(`{"name":"x","mode":"LibOS","op_stats":{"sgx_ewb":{"Samples":1}},"attempts":1} trailing`))
+	f.Add([]byte(`{"counters":{"no-such-counter":1}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResult(first)
+		if err != nil {
+			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		second, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding does not decode: %v\n%s", err, enc)
+		}
+		again, err := EncodeResult(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, again) {
+			t.Fatalf("encoding is not a fixed point:\n %s\n %s", enc, again)
+		}
+		third, err := DecodeResult(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(second, third) {
+			t.Fatalf("decoding is not a fixed point:\n %#v\n %#v", second, third)
+		}
+	})
+}

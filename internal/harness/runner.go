@@ -157,11 +157,43 @@ func (r *Result) fail(env *sgx.Env, m *sgx.Machine, err error) {
 	r.Timeline = m.EPC.Timeline()
 }
 
+// machineConfig derives the machine configuration a spec runs on: the
+// spec's base Machine with its EPC size, salted seed, switchless mode
+// and chaos settings on top. Every run path and the snapshot boot key
+// use it, so the key cannot drift from the machine a boot builds.
+func machineConfig(spec Spec) sgx.Config {
+	var cfg sgx.Config
+	if spec.Machine != nil {
+		cfg = *spec.Machine
+	}
+	cfg.EPCPages = spec.EPCPages
+	cfg.Seed = uint64(spec.Seed) ^ 0x5067617567 // "gauge"
+	cfg.Switchless = spec.Switchless
+	cfg.Chaos = spec.Chaos
+	return cfg
+}
+
+// libosManifest is the manifest a LibOS-mode spec runs under; it
+// trusts every file present after the workload's setup.
+func libosManifest(spec Spec, files []string) libos.Manifest {
+	return libos.Manifest{
+		Binary:         spec.Workload.Name(),
+		Files:          files,
+		ProtectedFiles: spec.ProtectedFiles,
+	}
+}
+
 // runOne executes one spec on a fresh machine. It is the engine
 // primitive under the Runner API: unlike Runner.Run it is uncached,
 // retries nothing, and reports the spec's own failure through the
 // error return (runWithRetry moves it into Result.Err).
-func runOne(spec Spec) (*Result, error) {
+func runOne(spec Spec) (*Result, error) { return runSpec(spec, nil) }
+
+// runSpec is runOne with an optional boot seat: a LibOS spec holding
+// one attaches to a clone of its group's frozen post-boot machine
+// instead of booting its own (see bootGroup). The result is the same
+// either way.
+func runSpec(spec Spec, seat *bootSeat) (*Result, error) {
 	if spec.Scenario != nil {
 		return runScenario(spec)
 	}
@@ -172,19 +204,15 @@ func runOne(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("harness: %s has no Native-mode port", spec.Workload.Name())
 	}
 
-	var cfg sgx.Config
-	if spec.Machine != nil {
-		cfg = *spec.Machine
+	cfg := machineConfig(spec)
+	var m *sgx.Machine
+	if seat == nil {
+		m = sgx.NewMachine(cfg)
+		if spec.Hooks.OnMachine != nil {
+			spec.Hooks.OnMachine(m)
+		}
 	}
-	cfg.EPCPages = spec.EPCPages
-	cfg.Seed = uint64(spec.Seed) ^ 0x5067617567 // "gauge"
-	cfg.Switchless = spec.Switchless
-	cfg.Chaos = spec.Chaos
-	m := sgx.NewMachine(cfg)
-	if spec.Hooks.OnMachine != nil {
-		spec.Hooks.OnMachine(m)
-	}
-	epcPages := m.Config().EPCPages
+	epcPages := cfg.WithDefaults().EPCPages
 
 	params := spec.Workload.DefaultParams(epcPages, spec.Size)
 	if spec.Params != nil {
@@ -215,16 +243,15 @@ func runOne(spec Spec) (*Result, error) {
 		}
 		ctx.FS = rawFS
 	case sgx.LibOS:
-		// The manifest trusts every file present after setup.
-		man := libos.Manifest{
-			Binary:         spec.Workload.Name(),
-			Files:          rawFS.List(),
-			ProtectedFiles: spec.ProtectedFiles,
-		}
+		man := libosManifest(spec, rawFS.List())
 		var inst *libos.Instance
 		var bootErr error
 		if perr := sgx.Protect(func() {
-			inst, bootErr = startLibOS(m, rawFS, man, spec.Timeline)
+			if seat != nil {
+				inst, bootErr = seat.start(rawFS, man, epcPages)
+			} else {
+				inst, bootErr = libos.StartWithTimeline(m, rawFS, man, spec.Timeline)
+			}
 		}); perr != nil {
 			bootErr = perr
 		}
@@ -232,6 +259,7 @@ func runOne(spec Spec) (*Result, error) {
 			return nil, fmt.Errorf("harness: booting LibOS: %w", bootErr)
 		}
 		env = inst.Env
+		m = env.M
 		ctx.LibOS = inst
 		ctx.FS = inst.FS()
 	default:
@@ -300,16 +328,6 @@ func runOne(spec Spec) (*Result, error) {
 		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
 	}
 	return res, nil
-}
-
-// startLibOS boots the library OS, arranging the EPC timeline to use
-// the LibOS environment's main clock from the start.
-func startLibOS(m *sgx.Machine, fs *osal.FS, man libos.Manifest, timeline uint64) (*libos.Instance, error) {
-	inst, err := libos.StartWithTimeline(m, fs, man, timeline)
-	if err != nil {
-		return nil, err
-	}
-	return inst, nil
 }
 
 // Overhead returns the runtime overhead of res relative to base

@@ -58,11 +58,36 @@ func Start(m *sgx.Machine, fs *osal.FS, man Manifest) (*Instance, error) {
 // StartWithTimeline is Start with EPC activity sampling enabled from
 // before the enclave build, so the launch-time eviction storm is
 // captured (Figure 9). timelineEvery = 0 disables sampling.
+//
+// It is Load followed by the machine boot and Attach. The boot depends
+// only on the machine and the manifest's defaulted EnclaveSizePages,
+// so callers running many manifests of one size on one machine
+// configuration may boot once, freeze the machine (sgx.Freeze) and
+// Attach each loaded manifest to a clone instead.
 func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery uint64) (*Instance, error) {
+	inst, err := Load(fs, man, m.Config().EPCPages)
+	if err != nil {
+		return nil, err
+	}
+	env, err := buildEnclave(m, inst.Manifest, timelineEvery)
+	if err != nil {
+		return nil, err
+	}
+	if err := inst.Attach(env); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// Load performs manifest processing for a machine with epcPages EPC
+// pages: it validates the manifest, applies its defaults and hashes
+// every trusted input file. This is host-side work; the returned
+// Instance has no environment until Attach.
+func Load(fs *osal.FS, man Manifest, epcPages int) (*Instance, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	man = man.withDefaults(m.Config().EPCPages)
+	man = man.withDefaults(epcPages)
 
 	inst := &Instance{
 		Manifest:   man,
@@ -70,7 +95,6 @@ func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery 
 		fileHashes: make(map[string][32]byte, len(man.Files)),
 		verified:   make(map[string]bool, len(man.Files)),
 	}
-	// Manifest processing: hash every trusted input file.
 	for _, name := range man.Files {
 		data := fs.Raw(name)
 		if data == nil {
@@ -78,9 +102,34 @@ func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery 
 		}
 		inst.fileHashes[name] = hashFile(data)
 	}
+	return inst, nil
+}
 
-	env := m.NewEnv(sgx.LibOS)
+// Attach binds a loaded instance to a booted LibOS environment — one
+// StartWithTimeline built, or a clone of a frozen one — and records
+// its start-up cost and counters. The environment's enclave must have
+// the manifest's size.
+func (inst *Instance) Attach(env *sgx.Env) error {
+	if env.Mode != sgx.LibOS || env.Enclave == nil || env.Enclave.SizePages != inst.Manifest.EnclaveSizePages {
+		return fmt.Errorf("libos: cannot attach a %d-page manifest to this environment", inst.Manifest.EnclaveSizePages)
+	}
 	inst.Env = env
+	inst.StartupCycles = env.Elapsed()
+	inst.StartupCounters = env.Snapshot()
+	return nil
+}
+
+// EnclavePages returns the declared enclave size of the manifest on a
+// machine with epcPages EPC pages, defaults applied: together with the
+// machine configuration, the only input of the boot.
+func (m Manifest) EnclavePages(epcPages int) int {
+	return m.withDefaults(epcPages).EnclaveSizePages
+}
+
+// buildEnclave builds the LibOS enclave on m, runs the loader's init
+// phase and returns the environment the application will run in.
+func buildEnclave(m *sgx.Machine, man Manifest, timelineEvery uint64) (*sgx.Env, error) {
+	env := m.NewEnv(sgx.LibOS)
 	if timelineEvery > 0 {
 		m.EPC.EnableTimeline(&env.Main.Clock, timelineEvery)
 	}
@@ -123,10 +172,7 @@ func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery 
 	for i := 0; i < loaderPages; i++ {
 		t.ReadU64(env.Enclave.Base + uint64(i)*mem.PageSize)
 	}
-
-	inst.StartupCycles = env.Elapsed()
-	inst.StartupCounters = env.Snapshot()
-	return inst, nil
+	return env, nil
 }
 
 // VerifyOnOpen checks a trusted file's hash the first time it is

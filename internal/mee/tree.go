@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"sgxgauge/internal/mem"
 )
@@ -71,6 +73,18 @@ func NewIntegrityTree(capPages, cachedLevels int) *IntegrityTree {
 		}
 	}
 	return t
+}
+
+// Clone returns an independent copy of the tree: node values, leaf
+// assignments and geometry.
+func (t *IntegrityTree) Clone() *IntegrityTree {
+	c := *t
+	c.levels = make([][]uint64, len(t.levels))
+	for i, lvl := range t.levels {
+		c.levels[i] = slices.Clone(lvl)
+	}
+	c.leafOf = maps.Clone(t.leafOf)
+	return &c
 }
 
 // Depth returns the number of tree levels (leaves included).

@@ -4,7 +4,12 @@
 package mem
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -109,6 +114,9 @@ type BackingStore struct {
 	free []*SealedPage // guarded by mu
 	// slab is the not yet carved tail of the current slab.
 	slab []SealedPage // guarded by mu
+	// inherited is the page table of the store this one inherited
+	// from (nil if none). It is read-only: the source is frozen.
+	inherited map[PageID]*SealedPage
 }
 
 // maxFreeSealed bounds the recycling list: enough to feed several
@@ -128,8 +136,12 @@ func NewBackingStore() *BackingStore {
 	return &BackingStore{pages: make(map[PageID]*SealedPage)}
 }
 
-// recycle adds a dead entry to the free list; caller holds mu.
+// recycle adds a dead entry to the free list unless its storage is
+// shared with the store this one inherited from; caller holds mu.
 func (b *BackingStore) recycle(p *SealedPage) {
+	if b.inherited != nil && b.inherited[p.ID] == p {
+		return
+	}
 	if len(b.free) < maxFreeSealed {
 		b.free = append(b.free, p)
 	}
@@ -200,5 +212,45 @@ func (b *BackingStore) DropEnclave(enclave uint32) {
 			b.recycle(p)
 			delete(b.pages, id)
 		}
+	}
+}
+
+// Inherit replaces the store's contents with src's sealed pages. The
+// pages are shared with src rather than copied, and this store never
+// recycles their storage (see BackingStore). src must not change
+// afterwards: it stands for a frozen machine that clones start from.
+func (b *BackingStore) Inherit(src *BackingStore) {
+	src.mu.Lock()
+	inherited := src.pages
+	pages := maps.Clone(inherited)
+	src.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pages = pages
+	b.inherited = inherited
+	b.free = nil
+}
+
+// Hash writes every stored sealed page — identity, version, MAC and
+// ciphertext — to h in page-ID order.
+func (b *BackingStore) Hash(h hash.Hash) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ids := make([]PageID, 0, len(b.pages))
+	for id := range b.pages {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(x, y PageID) int {
+		return cmp.Or(cmp.Compare(x.Enclave, y.Enclave), cmp.Compare(x.VPN, y.VPN))
+	})
+	var hdr [20]byte
+	for _, id := range ids {
+		p := b.pages[id]
+		binary.LittleEndian.PutUint32(hdr[0:4], id.Enclave)
+		binary.LittleEndian.PutUint64(hdr[4:12], id.VPN)
+		binary.LittleEndian.PutUint64(hdr[12:20], p.Version)
+		h.Write(hdr[:])
+		h.Write(p.MAC[:])
+		h.Write(p.Ciphertext[:])
 	}
 }

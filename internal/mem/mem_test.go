@@ -142,3 +142,63 @@ func TestBackingStoreReserveCarvesAndRecycles(t *testing.T) {
 		t.Error("Reserve did not recycle the deleted entry")
 	}
 }
+
+// TestInheritedPagesNeverChange: a store that inherited another's
+// sealed pages may delete them, replace them and seal into everything
+// Reserve hands out, and the inherited pages keep their bytes — their
+// storage is never recycled into the store's free list.
+func TestInheritedPagesNeverChange(t *testing.T) {
+	src := NewBackingStore()
+	const n = 3 * sealedSlabPages
+	for i := 0; i < n; i++ {
+		sp := src.Reserve()
+		sp.ID = PageID{Enclave: 1, VPN: uint64(i)}
+		sp.Version = uint64(i + 1)
+		for j := range sp.Ciphertext {
+			sp.Ciphertext[j] = byte(i + j)
+		}
+		sp.MAC[0] = byte(i)
+		src.Put(sp)
+	}
+	want := make(map[PageID]SealedPage, n)
+	for i := 0; i < n; i++ {
+		id := PageID{Enclave: 1, VPN: uint64(i)}
+		want[id] = *src.Get(id)
+	}
+
+	clone := NewBackingStore()
+	clone.Inherit(src)
+	if clone.Len() != n {
+		t.Fatalf("clone holds %d pages, want %d", clone.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		id := PageID{Enclave: 1, VPN: uint64(i)}
+		switch i % 3 {
+		case 0:
+			clone.Delete(id)
+		case 1:
+			clone.Put(&SealedPage{ID: id, Version: 99})
+		}
+	}
+	clone.DropEnclave(1)
+	// Everything the clone can now hand out gets overwritten, as a
+	// seal would.
+	for i := 0; i < 2*n; i++ {
+		sp := clone.Reserve()
+		sp.ID = PageID{Enclave: 2, VPN: uint64(i)}
+		for j := range sp.Ciphertext {
+			sp.Ciphertext[j] = 0xFF
+		}
+		sp.MAC = [16]byte{0xFF}
+		clone.Put(sp)
+	}
+
+	if src.Len() != n {
+		t.Fatalf("source holds %d pages after the clone ran, want %d", src.Len(), n)
+	}
+	for id, w := range want {
+		if got := src.Get(id); got == nil || *got != w {
+			t.Fatalf("inherited page %v changed", id)
+		}
+	}
+}

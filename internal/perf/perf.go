@@ -160,6 +160,15 @@ func (c *Counters) Reset() {
 	c.mu.Unlock()
 }
 
+// CopyFrom sets c's shared bank to src's. Shard deltas are not part of
+// the bank: each shard is copied with its owning thread (see
+// Shard.CopyFrom).
+func (c *Counters) CopyFrom(src *Counters) {
+	for i := range c.v {
+		c.v[i].Store(src.v[i].Load())
+	}
+}
+
 // Snapshot captures the current value of every counter, including
 // unflushed shard deltas.
 func (c *Counters) Snapshot() Snapshot {
@@ -203,6 +212,10 @@ func (s *Shard) Add(e Event, n uint64) { s.d[e] += n }
 
 // Inc increments event e by one.
 func (s *Shard) Inc(e Event) { s.d[e]++ }
+
+// CopyFrom sets s's unflushed deltas to src's. src is only read; like
+// every shard access it must not race with src's owning thread.
+func (s *Shard) CopyFrom(src *Shard) { s.d = src.d }
 
 // Flush folds the shard's deltas into the shared atomic bank and
 // zeroes them. Values observed through Get/Snapshot are unchanged.

@@ -160,7 +160,10 @@ type Config struct {
 	SlowPath bool `json:"slow_path,omitempty"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field
+// replaced by its default — the configuration NewMachine builds and
+// Machine.Config reports.
+func (c Config) WithDefaults() Config {
 	if c.EPCPages == 0 {
 		c.EPCPages = DefaultEPCPages
 	}
@@ -261,7 +264,7 @@ func (m *Machine) transitionFault(op string) {
 
 // NewMachine boots a machine with the given configuration.
 func NewMachine(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	counters := &perf.Counters{}
 	engine := mee.New(cfg.Seed)
 	backing := mem.NewBackingStore()

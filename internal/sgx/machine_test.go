@@ -1,9 +1,11 @@
 package sgx
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
 )
@@ -304,5 +306,130 @@ func TestDestroyEnclaveFreesEPC(t *testing.T) {
 	}
 	if m.enclaveFor(enc.Base) != nil {
 		t.Error("destroyed enclave still resolves")
+	}
+}
+
+// TestFreezeRejectsUnclonableMachines: chaos, a tracer and an EPC
+// timeline are not state a clone can continue from.
+func TestFreezeRejectsUnclonableMachines(t *testing.T) {
+	cases := map[string]func() *Env{
+		"chaos": func() *Env {
+			return NewMachine(Config{EPCPages: 64, Chaos: &chaos.Config{Seed: 1, Rate: 0.1, AEXStorm: true}}).NewEnv(Native)
+		},
+		"tracer": func() *Env {
+			m := NewMachine(Config{EPCPages: 64})
+			m.SetTracer(func(TraceEvent) {})
+			return m.NewEnv(Native)
+		},
+		"timeline": func() *Env {
+			m := NewMachine(Config{EPCPages: 64})
+			env := m.NewEnv(Native)
+			m.EPC.EnableTimeline(&env.Main.Clock, 8)
+			return env
+		},
+	}
+	for name, env := range cases {
+		if _, err := Freeze(env()); err == nil {
+			t.Errorf("%s: Freeze succeeded", name)
+		}
+	}
+}
+
+// TestSnapshotCloneContinuesIdentically: after a launch that overflows
+// the EPC and a warm-up that fills the dTLB, L1 and LLC, a clone of
+// the frozen machine and a machine that did the same set-up itself,
+// run on with the same program, reach identical clocks and counters,
+// and the frozen state is untouched by the clone.
+func TestSnapshotCloneContinuesIdentically(t *testing.T) {
+	launch := func() *Env {
+		env := NewMachine(Config{EPCPages: 64, L1Bytes: 4096}).NewEnv(LibOS)
+		if _, err := env.LaunchEnclave(200, 400); err != nil {
+			t.Fatal(err)
+		}
+		env.EnterPermanently()
+		for p := uint64(170); p < 200; p++ {
+			env.Main.Memset(env.Enclave.Base+p*mem.PageSize, byte(p), 256)
+		}
+		return env
+	}
+	program := func(env *Env) {
+		t := env.Main
+		base := env.Enclave.Base
+		// Re-touch the warm-up's pages first, newest first: these hits
+		// and misses depend on the dTLB, L1 and LLC state the set-up
+		// left.
+		for p := uint64(199); p >= 170; p-- {
+			for off := uint64(0); off < 256; off += 64 {
+				t.ReadU64(base + p*mem.PageSize + off)
+			}
+		}
+		for i := uint64(0); i < 300; i++ {
+			t.WriteU64(base+(i*7%400)*mem.PageSize, i)
+			t.ReadU64(base + (i*3%200)*mem.PageSize)
+		}
+		t.Syscall(64)
+	}
+	frozen := launch()
+	snap, err := Freeze(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snap.Fingerprint()
+	clone := snap.Clone()
+	program(clone)
+	if snap.Fingerprint() != before {
+		t.Fatal("running the clone changed the frozen machine")
+	}
+	fresh := launch()
+	program(fresh)
+	if clone.Elapsed() != fresh.Elapsed() || clone.Snapshot() != fresh.Snapshot() {
+		t.Errorf("clone: %d cycles %v\nfresh: %d cycles %v", clone.Elapsed(), clone.Snapshot(), fresh.Elapsed(), fresh.Snapshot())
+	}
+	if clone.Enclave.Measurement() != fresh.Enclave.Measurement() {
+		t.Error("clone measurement differs")
+	}
+}
+
+// TestSnapshotConcurrentClones: clones taken and run from several
+// goroutines at once only read the frozen machine, so each ends where
+// a serial clone does and the frozen state is unchanged.
+func TestSnapshotConcurrentClones(t *testing.T) {
+	env := NewMachine(Config{EPCPages: 64}).NewEnv(LibOS)
+	if _, err := env.LaunchEnclave(300, 600); err != nil {
+		t.Fatal(err)
+	}
+	env.EnterPermanently()
+	snap, err := Freeze(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := snap.Fingerprint()
+	run := func() (uint64, perf.Snapshot) {
+		c := snap.Clone()
+		for i := uint64(0); i < 600; i++ {
+			c.Main.WriteU64(c.Enclave.Base+(i*11%600)*mem.PageSize, i)
+		}
+		return c.Elapsed(), c.Snapshot()
+	}
+	wantCycles, wantCounters := run()
+	const n = 4
+	var wg sync.WaitGroup
+	cycles := make([]uint64, n)
+	counters := make([]perf.Snapshot, n)
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			cycles[i], counters[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range cycles {
+		if cycles[i] != wantCycles || counters[i] != wantCounters {
+			t.Errorf("clone %d: %d cycles %v, want %d cycles %v", i, cycles[i], counters[i], wantCycles, wantCounters)
+		}
+	}
+	if snap.Fingerprint() != before {
+		t.Error("concurrent clones changed the frozen machine")
 	}
 }

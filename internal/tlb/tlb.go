@@ -58,6 +58,19 @@ func New(entries, ways int) *DTLB {
 	}
 }
 
+// CopyFrom makes t's entries, flush epoch, replacement pointers and
+// flush count an exact copy of src's. Both TLBs must have the same
+// geometry; src is only read.
+func (t *DTLB) CopyFrom(src *DTLB) {
+	if t.sets != src.sets || t.ways != src.ways {
+		panic("tlb: CopyFrom across geometries")
+	}
+	copy(t.tags, src.tags)
+	copy(t.epochs, src.epochs)
+	copy(t.next, src.next)
+	t.epoch, t.flushes = src.epoch, src.flushes
+}
+
 // Entries returns the total number of TLB entries modeled.
 func (t *DTLB) Entries() int { return t.sets * t.ways }
 
