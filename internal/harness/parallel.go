@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,8 +17,10 @@ import (
 // Callbacks are serialized (never invoked concurrently), so they may
 // write to a terminal without their own locking.
 type Progress struct {
-	// Completed is the number of specs finished so far, including
-	// this one; Total is the batch size.
+	// Completed is the number of events so far, including this one;
+	// Total is how many the batch emits: one per distinct spec it
+	// runs or joins, plus one per cache-hit position under
+	// ProgressCached.
 	Completed int
 	Total     int
 	// Index is this spec's position in the input slice.
@@ -46,6 +49,15 @@ type engineOpts struct {
 	clock          Clock
 	ctx            context.Context
 	exec           func(Spec) (*Result, error)
+	// slots bounds executions across batches: each holds one element
+	// while it runs (nil = unbounded).
+	slots chan struct{}
+	// remote marks the specs exec may run; nil sends none to it.
+	remote []bool
+	// settle, when set, sees each spec's final result before its
+	// progress event; ran is false for a spec the batch context
+	// stopped from starting.
+	settle func(i int, res *Result, ran bool)
 	// onSnapshot, when set, sees every boot snapshot a batch freezes
 	// and the indices of the specs that will run on its clones.
 	onSnapshot func(members []int, snap *sgx.Snapshot)
@@ -137,13 +149,7 @@ func WithContext(ctx context.Context) Option {
 // instead of aborting its siblings; the error return is engine-level
 // only (context cancellation).
 func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
-	if o.clock == nil {
-		o.clock = RealClock{}
-	}
 	ctx := o.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results := make([]Result, len(specs))
 	order, seats := planBoots(specs, &o)
 	var mu sync.Mutex
@@ -153,36 +159,9 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 		seat := seats[i]
 		defer seat.leave()
 		start := o.clock.Now()
-		if err := ctx.Err(); err != nil {
-			results[i] = failedResult(specs[i], err)
-		} else if o.exec != nil && specs[i].Hooks.empty() {
-			// Remote execution: the executor's Result already carries
-			// the spec's own failure and attempt count; a transport
-			// failure (nil result) becomes this spec's error.
-			res, err := o.exec(specs[i])
-			if res != nil {
-				results[i] = *res
-				if results[i].Err == nil && err != nil {
-					results[i].Err = err
-				}
-			} else {
-				if err == nil {
-					err = fmt.Errorf("harness: remote executor returned no result")
-				}
-				results[i] = failedResult(specs[i], err)
-			}
-			if results[i].Attempts == 0 {
-				results[i].Attempts = 1
-			}
-		} else {
-			res, attempts, err := runWithRetry(ctx, specs[i], &o, seat)
-			if res != nil {
-				results[i] = *res
-				results[i].Err = err
-			} else {
-				results[i] = failedResult(specs[i], err)
-			}
-			results[i].Attempts = attempts
+		ran := runOnSlot(ctx, specs[i], o.remote != nil && o.remote[i], seat, &o, &results[i])
+		if o.settle != nil {
+			o.settle(i, &results[i], ran)
 		}
 		wall := o.clock.Since(start)
 		if o.progress != nil {
@@ -203,10 +182,61 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 	return results, ctx.Err()
 }
 
+// runOnSlot executes one spec into res while holding one of o.slots,
+// through o.exec when remote is set and locally otherwise (or when
+// exec hands the spec back with ErrExecLocal). It reports false, with
+// the context error in res, when the batch context ended before the
+// spec could start.
+func runOnSlot(ctx context.Context, spec Spec, remote bool, seat *bootSeat, o *engineOpts, res *Result) bool {
+	if o.slots != nil {
+		select {
+		case o.slots <- struct{}{}:
+			defer func() { <-o.slots }()
+		case <-ctx.Done():
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		*res = failedResult(spec, err)
+		return false
+	}
+	if remote && o.exec != nil {
+		// The executor's Result already carries the spec's own failure
+		// and attempt count; a transport failure (nil result) becomes
+		// this spec's error.
+		r, err := o.exec(spec)
+		if !errors.Is(err, ErrExecLocal) {
+			if r != nil {
+				*res = *r
+				if res.Err == nil && err != nil {
+					res.Err = err
+				}
+			} else {
+				if err == nil {
+					err = fmt.Errorf("harness: remote executor returned no result")
+				}
+				*res = failedResult(spec, err)
+			}
+			if res.Attempts == 0 {
+				res.Attempts = 1
+			}
+			return true
+		}
+	}
+	r, attempts, err := runWithRetry(ctx, spec, o, seat)
+	if r != nil {
+		*res = *r
+		res.Err = err
+	} else {
+		*res = failedResult(spec, err)
+	}
+	res.Attempts = attempts
+	return true
+}
+
 // execBatch runs specs through the engine with per-call options and
 // no cache — the in-package form ChaosSweep and tests use.
 func execBatch(specs []Spec, opts ...Option) ([]Result, error) {
-	o := engineOpts{clock: RealClock{}}
+	o := engineOpts{ctx: context.Background(), clock: RealClock{}}
 	for _, opt := range opts {
 		opt(&o)
 	}

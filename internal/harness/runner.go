@@ -100,11 +100,6 @@ type Hooks struct {
 // are safe to cache by canonical encoding).
 func (h Hooks) empty() bool { return h.OnMachine == nil }
 
-// Empty reports whether the spec carries no hooks at all. Only
-// hook-free specs can be cached or shipped to a remote executor — a
-// callback has no canonical encoding and cannot travel.
-func (h Hooks) Empty() bool { return h.empty() }
-
 // Result is one measured run.
 type Result struct {
 	// Name, Mode and Params echo the effective configuration.
@@ -147,14 +142,29 @@ type Result struct {
 	Attempts int
 }
 
-// fail records a machine fault on the result, capturing the state the
-// run reached before dying so chaos reports can still be built.
-func (r *Result) fail(env *sgx.Env, m *sgx.Machine, err error) {
-	r.Err = err
-	r.Cycles = env.Elapsed() - r.StartupCycles
-	r.TotalCounters = env.Snapshot()
-	r.Counters = r.TotalCounters.Sub(r.StartupCounters)
+// collect closes the measured window on the result: the cycles and
+// counters from the run's end-of-window readings (elapsed, total) and
+// the EPC timeline, then either err — a fault keeps the partial
+// measurements so degraded runs stay measurable — or the workload's
+// output with the EPC driver-operation latencies. It returns the
+// result and err, the shape every run path ends with.
+func (r *Result) collect(m *sgx.Machine, elapsed uint64, total perf.Snapshot, out workloads.Output, err error) (*Result, error) {
+	r.Cycles = elapsed - r.StartupCycles
+	r.TotalCounters = total
+	r.Counters = total.Sub(r.StartupCounters)
 	r.Timeline = m.EPC.Timeline()
+	if err != nil {
+		r.Err = err
+		return r, err
+	}
+	r.Output = out
+	r.OpStats = map[epc.Op]epc.OpStats{
+		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
+		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
+		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
+		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
+	}
+	return r, nil
 }
 
 // machineConfig derives the machine configuration a spec runs on: the
@@ -295,8 +305,7 @@ func runSpec(spec Spec, seat *bootSeat) (*Result, error) {
 			launchErr = perr
 		}
 		if launchErr != nil {
-			res.fail(env, m, fmt.Errorf("harness: launching Native enclave: %w", launchErr))
-			return res, res.Err
+			return res.collect(m, env.Elapsed(), env.Snapshot(), workloads.Output{}, fmt.Errorf("harness: launching Native enclave: %w", launchErr))
 		}
 	}
 
@@ -312,22 +321,9 @@ func runSpec(spec Spec, seat *bootSeat) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		res.fail(env, m, fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
-		return res, res.Err
+		runErr = fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr)
 	}
-
-	res.Output = out
-	res.Cycles = env.Elapsed() - res.StartupCycles
-	res.TotalCounters = env.Snapshot()
-	res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-	res.Timeline = m.EPC.Timeline()
-	res.OpStats = map[epc.Op]epc.OpStats{
-		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
-		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
-		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
-		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
-	}
-	return res, nil
+	return res.collect(m, env.Elapsed(), env.Snapshot(), out, runErr)
 }
 
 // Overhead returns the runtime overhead of res relative to base

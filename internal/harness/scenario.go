@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"sgxgauge/internal/epc"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
 	"sgxgauge/internal/workloads/scenario"
@@ -110,24 +109,7 @@ func runScenario(spec Spec) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		res.Err = fmt.Errorf("harness: running scenario %s: %w", sp.Name, runErr)
-		res.Cycles = maxElapsed(inst.Envs) - res.StartupCycles
-		res.TotalCounters = m.Counters.Snapshot()
-		res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-		res.Timeline = m.EPC.Timeline()
-		return res, res.Err
+		runErr = fmt.Errorf("harness: running scenario %s: %w", sp.Name, runErr)
 	}
-
-	res.Output = out
-	res.Cycles = maxElapsed(inst.Envs) - res.StartupCycles
-	res.TotalCounters = m.Counters.Snapshot()
-	res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-	res.Timeline = m.EPC.Timeline()
-	res.OpStats = map[epc.Op]epc.OpStats{
-		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
-		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
-		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
-		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
-	}
-	return res, nil
+	return res.collect(m, maxElapsed(inst.Envs), m.Counters.Snapshot(), out, runErr)
 }

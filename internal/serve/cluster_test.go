@@ -269,29 +269,54 @@ func TestClusterWorkerStoreWarm(t *testing.T) {
 	}
 }
 
-// TestClusterCoalescing: concurrent submissions of the same key share
-// one task — the second joins rather than re-dispatching — and one
-// completion settles every waiter.
+// TestClusterCoalescing: on a coordinator with one worker, two
+// concurrent sweeps that share keys dispatch each key once — the
+// coordinator's Runner joins one sweep onto the other's in-flight runs
+// before anything reaches the cluster — and one worker completion
+// settles a submitted task.
 func TestClusterCoalescing(t *testing.T) {
+	coord, cts := startCoordinator(t, Config{})
+	startWorker(t, cts.URL, "w1", Config{})
+	waitForWorkers(t, coord, 1)
+
+	// Seeds 1-3 and 1-4: four distinct keys, three of them shared.
+	bodies := []string{sweepBody(3), sweepBody(4)}
+	errc := make(chan error, len(bodies))
+	for _, body := range bodies {
+		go func() {
+			resp, err := http.Post(cts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err == nil && !strings.Contains(string(data), `"event":"done"`) {
+				err = fmt.Errorf("sweep did not finish cleanly: %s", data)
+			}
+			errc <- err
+		}()
+	}
+	for range bodies {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := metric(t, cts, "sgxgauged_cluster_dispatched_total"); got != 4 {
+		t.Fatalf("cluster dispatched %g specs for 4 distinct keys, want 4", got)
+	}
+
 	c := newCluster(time.Minute, 0, 0, nil)
 	now := time.Now()
 	c.register("w1", now)
-
 	spec := harness.Spec{Workload: mustWorkload(t, "Empty")}
 	key, err := harness.SpecKey(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, created, local := c.submit(key, spec, now)
-	if !created || local {
-		t.Fatalf("first submit: created=%v local=%v, want created, remote", created, local)
-	}
-	t2, created, local := c.submit(key, spec, now)
-	if created || local || t1 != t2 {
-		t.Fatalf("second submit did not coalesce onto the open task")
-	}
-	if got := c.coalesced.Load(); got != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", got)
+	t1, local := c.submit(key, spec, now)
+	if local || t1.finished {
+		t.Fatalf("submit: local=%v finished=%v, want an open remote task", local, t1.finished)
 	}
 
 	// The worker must pull the task before its result is acceptable.
@@ -342,7 +367,7 @@ func TestClusterRequeueOnWorkerDeath(t *testing.T) {
 			break
 		}
 	}
-	task, _, local := c.submit(key, spec, t0)
+	task, local := c.submit(key, spec, t0)
 	if local || task.worker != "w1" {
 		t.Fatalf("task routed to %q (local=%v), want w1", task.worker, local)
 	}
@@ -395,14 +420,14 @@ func TestClusterRequeueOnWorkerDeath(t *testing.T) {
 	if got := c.localRuns.Load(); got != 1 {
 		t.Fatalf("localRuns counter = %d, want 1", got)
 	}
-	// A dead worker's late result for the claimed task is stale.
-	c.complete("w1", key, &harness.Result{Name: "Empty"}, t3)
-	if task.finished {
-		t.Fatal("late result finished a task the waiter already claimed")
-	}
-	c.finish(task, &harness.Result{Name: "Empty"}, nil)
+	// Claiming retires the task, so a dead worker's late result for it
+	// is stale and settles nothing.
 	if !task.finished {
-		t.Fatal("finish did not settle the claimed task")
+		t.Fatal("claimOrphan did not retire the claimed task")
+	}
+	stale := c.stale.Load()
+	if c.complete("w1", key, &harness.Result{Name: "Empty"}, t3) || c.stale.Load() != stale+1 || task.res != nil {
+		t.Fatal("late result for a claimed task was not dropped as stale")
 	}
 }
 
@@ -439,7 +464,7 @@ func TestClusterResultValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, _, local := c.submit(key, spec, now)
+	task, local := c.submit(key, spec, now)
 	if local {
 		t.Fatal("submit fell back to local execution with a live worker")
 	}
@@ -482,10 +507,13 @@ func TestClusterResultValidation(t *testing.T) {
 
 	// A fresh task for the same key completes normally end to end
 	// (with two workers it shards by the key's leading byte).
-	task2, created, _ := c.submit(key, spec, now)
-	if !created || task2 == task {
+	c.mu.Lock()
+	_, open := c.pending[key]
+	c.mu.Unlock()
+	if open {
 		t.Fatal("failed task was not retired from the pending map")
 	}
+	task2, _ := c.submit(key, spec, now)
 	owner := []string{"w1", "w2"}[int(key[0])%2]
 	if _, err := c.poll(context.Background(), owner, 4, 0); err != nil {
 		t.Fatal(err)

@@ -47,8 +47,9 @@ const maxTaskHistory = 32
 // cluster is the coordinator's dispatcher: registered workers pull
 // spec batches, execute them on their own machines, and stream
 // results back; the coordinator routes each spec to one worker by key
-// shard and coalesces duplicate in-flight keys so a spec requested by
-// ten concurrent sweeps crosses the wire — and simulates — once.
+// shard. Duplicate keys never reach it: the coordinator's Runner
+// coalesces them before calling Exec, so a spec requested by ten
+// concurrent sweeps crosses the wire — and simulates — once.
 //
 // Failure semantics: a worker that stops polling (or heartbeating)
 // past the TTL is expired and its queued and assigned tasks reroute
@@ -71,9 +72,8 @@ type cluster struct {
 	mu sync.Mutex
 	// workers holds the live fleet by id. // guarded by mu
 	workers map[string]*clusterWorker
-	// pending holds the one open task per key (the coalescing map,
-	// spanning queued, assigned, parked and orphaned tasks).
-	// // guarded by mu
+	// pending holds the one open task per key, spanning queued,
+	// assigned, parked and orphaned tasks. // guarded by mu
 	pending map[harness.Key]*clusterTask
 	// orphans are tasks routed nowhere: no live worker owned their
 	// shard when they were (re)routed. // guarded by mu
@@ -85,7 +85,6 @@ type cluster struct {
 	dispatched    atomic.Uint64 // tasks handed to a worker
 	completed     atomic.Uint64 // tasks finished by a worker result
 	requeued      atomic.Uint64 // task reroutes after a worker expiry
-	coalesced     atomic.Uint64 // submissions that joined an open task
 	localRuns     atomic.Uint64 // orphaned tasks claimed for local execution
 	stale         atomic.Uint64 // results for closed tasks or from non-owners
 	rejected      atomic.Uint64 // results inconsistent with their task's spec
@@ -108,20 +107,18 @@ type clusterWorker struct {
 }
 
 // clusterTask is one in-flight spec execution. res and err are
-// written before done is closed and read only after, exactly like a
-// flightCall; every other field is guarded by the cluster lock.
+// written before done is closed and read only after; every other
+// field is guarded by the cluster lock.
 type clusterTask struct {
 	key  harness.Key
 	spec harness.Spec
 	// worker is the owning worker's id, "" while orphaned or parked.
 	worker string
-	// claimed marks an orphaned task a waiter took for local
-	// execution; finished guards against double completion (a local
-	// claim racing a late worker result).
-	claimed  bool
+	// finished guards against double completion (a local claim
+	// racing a late worker result).
 	finished bool
 	// parked marks a task sitting out its retry backoff; an AfterFunc
-	// reroutes it when the delay elapses (or a waiter claims it
+	// reroutes it when the delay elapses (or its submitter claims it
 	// first — parked tasks look orphaned to claimOrphan).
 	parked bool
 	// retries counts failed attempts charged against the budget.
@@ -218,10 +215,10 @@ func (c *cluster) register(id string, now time.Time) int {
 	return len(c.workers)
 }
 
-// submit opens (or joins) the task for key. It returns the task plus
-// whether the caller created it and — when no live worker could own
-// it — whether the caller must execute it locally instead.
-func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *clusterTask, created, runLocal bool) {
+// submit opens the task for key, or reports runLocal when no live
+// worker could own it and the caller must execute it locally instead.
+// The caller's Runner guarantees no task for key is already open.
+func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *clusterTask, runLocal bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
@@ -233,35 +230,31 @@ func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *
 		t = &clusterTask{key: key, spec: spec, finished: true, done: make(chan struct{})}
 		t.res = poisonResult(spec, msg)
 		close(t.done)
-		return t, false, false
+		return t, false
 	}
-	if t, ok := c.pending[key]; ok {
-		c.coalesced.Add(1)
-		return t, false, false
+	if len(c.workers) == 0 {
+		c.localRuns.Add(1)
+		return nil, true
 	}
 	t = &clusterTask{key: key, spec: spec, done: make(chan struct{})}
 	c.pending[key] = t
-	if len(c.workers) == 0 {
-		t.claimed = true
-		c.localRuns.Add(1)
-		return t, true, true
-	}
 	c.routeLocked(t)
-	return t, true, false
+	return t, false
 }
 
 // claimOrphan expires dead workers and, if that (or an earlier
-// expiry) left t orphaned and unclaimed, hands it to the caller for
-// local execution. Waiters call this periodically so a fleet that
-// died entirely cannot strand them.
+// expiry) left t orphaned, retires it and hands it back to the caller
+// for local execution; a late worker result for it is then stale. The
+// submitter calls this periodically so a fleet that died entirely
+// cannot strand it.
 func (c *cluster) claimOrphan(t *clusterTask, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	if t.finished || t.claimed || t.worker != "" {
+	if t.finished || t.worker != "" {
 		return false
 	}
-	t.claimed = true
+	c.finishLocked(t, nil, nil)
 	for i, o := range c.orphans {
 		if o == t {
 			c.orphans = append(c.orphans[:i], c.orphans[i+1:]...)
@@ -278,7 +271,7 @@ func (c *cluster) claimOrphan(t *clusterTask, now time.Time) bool {
 // routing is stable while the fleet is, and every node computes the
 // same assignment from the same fleet view. caller holds mu.
 func (c *cluster) routeLocked(t *clusterTask) {
-	if t.finished || t.claimed {
+	if t.finished {
 		return
 	}
 	if len(c.workers) == 0 {
@@ -327,7 +320,7 @@ func (c *cluster) dropWorkerLocked(w *clusterWorker, reason string, penalizeAssi
 	w.queue = nil
 	w.assigned = make(map[harness.Key]*clusterTask)
 	for _, t := range queued {
-		if t.finished || t.claimed {
+		if t.finished {
 			continue
 		}
 		t.worker = ""
@@ -336,7 +329,7 @@ func (c *cluster) dropWorkerLocked(w *clusterWorker, reason string, penalizeAssi
 		c.routeLocked(t)
 	}
 	for _, t := range assigned {
-		if t.finished || t.claimed {
+		if t.finished {
 			continue
 		}
 		t.worker = ""
@@ -371,7 +364,7 @@ func (c *cluster) retryLocked(t *clusterTask, reason string) {
 func (c *cluster) unpark(t *clusterTask) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.finished || t.claimed || !t.parked {
+	if t.finished || !t.parked {
 		return
 	}
 	t.parked = false
@@ -499,8 +492,8 @@ func (c *cluster) poll(ctx context.Context, id string, max int, wait time.Durati
 // spec — the results endpoint is unauthenticated, so anything a
 // worker posts is validated against the coordinator's own record of
 // what it handed out before it can reach the shared cache and store.
-// Unknown, finished, locally claimed and reassigned keys count as
-// stale; a never-pulled key or a result naming the wrong
+// Unknown, finished (locally claimed included) and reassigned keys
+// count as stale; a never-pulled key or a result naming the wrong
 // workload/mode counts as rejected. Results are content-addressed, so
 // dropping a duplicate loses nothing.
 func (c *cluster) complete(workerID string, key harness.Key, res *harness.Result, now time.Time) bool {
@@ -510,7 +503,7 @@ func (c *cluster) complete(workerID string, key harness.Key, res *harness.Result
 		w.lastSeen = now
 	}
 	t, open := c.pending[key]
-	if !open || t.finished || t.claimed || !live || t.worker != workerID {
+	if !open || t.finished || !live || t.worker != workerID {
 		if live {
 			delete(w.assigned, key)
 		}
@@ -579,7 +572,7 @@ func (c *cluster) fail(workerID string, key harness.Key, reason string, now time
 		w.lastSeen = now
 	}
 	t, open := c.pending[key]
-	if !open || t.finished || t.claimed || !live || t.worker != workerID {
+	if !open || t.finished || !live || t.worker != workerID {
 		if live {
 			delete(w.assigned, key)
 		}
@@ -614,7 +607,7 @@ func (c *cluster) deregister(id string, now time.Time) bool {
 	return true
 }
 
-// finish settles a locally executed (claimed) task.
+// finish settles a task the coordinator took back from the fleet.
 func (c *cluster) finish(t *clusterTask, res *harness.Result, err error) {
 	c.mu.Lock()
 	if t.finished {
@@ -661,38 +654,30 @@ var errUnknownWorker = fmt.Errorf("serve: unknown worker (register first)")
 // worker and no one claiming it.
 const claimRecheck = time.Second
 
-// execRemote is the coordinator's executor: it satisfies
-// harness.Runner.Exec and backs the /v1/run path, so every entry
-// point — run, sweep, figures — draws on the fleet through the same
-// coalescing dispatcher. Specs that cannot travel (hooks, no
-// canonical encoding) and tasks orphaned by total fleet loss fall
-// back to local execution.
+// execRemote is the coordinator's harness.Runner.Exec: every entry
+// point — run, sweep, figures — draws on the fleet through the shared
+// Runner, which only calls it for hook-free, canonically encodable
+// specs whose key no other batch is executing. With no live worker,
+// or once total fleet loss orphans the task, the spec goes back to
+// the Runner for local execution (harness.ErrExecLocal) under its
+// slots and its retry and chaos policies.
 func (s *Server) execRemote(spec harness.Spec) (*harness.Result, error) {
-	spec = s.runner.Normalize(spec)
 	key, err := harness.SpecKey(spec)
-	if err != nil || !spec.Hooks.Empty() {
-		return s.localRun(spec)
+	if err != nil {
+		return nil, err
 	}
-	t, _, runLocal := s.cluster.submit(key, spec, time.Now())
-	if runLocal {
-		res, err := s.localRun(spec)
-		s.cluster.finish(t, res, err)
-		return res, err
-	}
-	for {
+	t, runLocal := s.cluster.submit(key, spec, time.Now())
+	for !runLocal {
 		timer := time.NewTimer(claimRecheck)
 		select {
 		case <-t.done:
 			timer.Stop()
 			return t.res, t.err
 		case <-timer.C:
-			if s.cluster.claimOrphan(t, time.Now()) {
-				res, err := s.localRun(spec)
-				s.cluster.finish(t, res, err)
-				return res, err
-			}
+			runLocal = s.cluster.claimOrphan(t, time.Now())
 		}
 	}
+	return nil, harness.ErrExecLocal
 }
 
 // --- cluster HTTP wire ---

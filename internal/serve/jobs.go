@@ -187,7 +187,7 @@ func (s *Server) admit(n int) bool {
 // worker pool, clamped to [1s, 120s]. It is deliberately coarse — the
 // point is backpressure, not a schedule.
 func (s *Server) retryAfter() int {
-	per := s.metrics.workers
+	per := s.runner.Jobs
 	if per < 1 {
 		per = 1
 	}
@@ -244,18 +244,16 @@ func (s *Server) registerJob(jb *job) {
 	s.jobsMu.Unlock()
 }
 
-// launchJob runs the job detached, tracked by the leaders group so
+// launchJob runs the job detached, tracked by the detached group so
 // Drain waits for it.
 func (s *Server) launchJob(jb *job) {
-	s.leaders.Add(1)
+	s.detached.Add(1)
 	go func() {
-		defer s.leaders.Done()
+		defer s.detached.Done()
 		defer s.retireJob(jb)
 		switch jb.kind {
-		case "sweep":
-			s.runSweepJob(jb)
-		case "run":
-			s.runRunJob(jb)
+		case "sweep", "run":
+			s.runSpecsJob(jb)
 		case "figure":
 			s.runFigureJob(jb)
 		default:
@@ -318,16 +316,20 @@ func (s *Server) journalFinish(jb *job, jobErr string) {
 	}
 }
 
-// runSweepJob executes a sweep batch through the unified Runner —
-// shared cache, dedup, worker pool, remote dispatch on a coordinator —
-// appending progress events as specs complete (including cache-hit
-// specs, so a warm resume still journals every task), then result
-// events in input order, then the terminal event.
-func (s *Server) runSweepJob(jb *job) {
+// runSpecsJob executes a run or sweep job's specs as one batch
+// through the shared Runner — cache, in-flight dedup, worker pool,
+// remote dispatch on a coordinator — appending progress events as
+// specs complete (including cache-hit specs, so a warm resume still
+// journals every task), then result events in input order, then the
+// terminal event. A run job's result event also says whether its spec
+// was served from cache, which /v1/run reports.
+func (s *Server) runSpecsJob(jb *job) {
+	cached := make([]bool, len(jb.specs))
 	s.metrics.inflight.Add(1)
 	results, err := s.runner.RunAll(jb.specs,
 		harness.ProgressCached(),
 		harness.OnProgress(func(p harness.Progress) {
+			cached[p.Index] = p.Cached
 			s.journalTask(jb, p.Index, p.Err)
 			ev := sweepEvent{
 				Event:     "progress",
@@ -347,7 +349,7 @@ func (s *Server) runSweepJob(jb *job) {
 
 	for i, res := range results {
 		s.journalTask(jb, i, res.Err)
-		ev := sweepEvent{Event: "result", Index: i, Result: wireResult(res)}
+		ev := sweepEvent{Event: "result", Index: i, Result: wireResult(res), Cached: jb.kind == "run" && cached[i]}
 		if jb.keyOK[i] {
 			ev.Key = jb.keys[i].String()
 		}
@@ -362,22 +364,6 @@ func (s *Server) runSweepJob(jb *job) {
 		return
 	}
 	jb.append(sweepEvent{Event: "done", Total: len(jb.specs), OK: true})
-	s.journalFinish(jb, "")
-}
-
-// runRunJob executes a single-spec job through the singleflight path,
-// so identical concurrent /v1/run jobs still coalesce onto one
-// execution.
-func (s *Server) runRunJob(jb *job) {
-	key, res, cached, err := s.execute(context.Background(), jb.specs[0])
-	if err != nil {
-		jb.append(sweepEvent{Event: "error", Total: 1, Error: err.Error()})
-		s.journalFinish(jb, err.Error())
-		return
-	}
-	s.journalTask(jb, 0, res.Err)
-	jb.append(sweepEvent{Event: "result", Index: 0, Key: key.String(), Cached: cached, Result: wireResult(res)})
-	jb.append(sweepEvent{Event: "done", Total: 1, OK: true})
 	s.journalFinish(jb, "")
 }
 
@@ -564,7 +550,7 @@ func (s *Server) streamLazyJob(ctx context.Context, stream *ndjsonStream, jb *jo
 			res, _ = s.results.Get(jb.keys[i])
 		}
 		if res == nil {
-			_, r2, _, err := s.execute(ctx, jb.specs[i])
+			r2, err := s.runner.Run(jb.specs[i], harness.WithContext(ctx))
 			if err != nil {
 				stream.emit(sweepEvent{Event: "error", Total: len(jb.specs), Error: err.Error()})
 				return

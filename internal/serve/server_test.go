@@ -164,14 +164,14 @@ func TestRunCacheHit(t *testing.T) {
 }
 
 // TestRunCoalescing: N concurrent identical requests execute the spec
-// exactly once. A gated fake runSpec holds the leader mid-run until
+// exactly once. A gated fake executor holds the leader mid-run until
 // every follower has joined, making the exactly-once outcome
 // deterministic rather than timing-dependent.
 func TestRunCoalescing(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		calls.Add(1)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 99, Attempts: 1}, nil
@@ -196,10 +196,10 @@ func TestRunCoalescing(t *testing.T) {
 	// Release the leader only after all n requests are in: one is the
 	// leader, so n-1 must have coalesced.
 	deadline := time.After(10 * time.Second)
-	for s.metrics.coalesced.Load() < n-1 {
+	for joined(s) < n-1 {
 		select {
 		case <-deadline:
-			t.Fatalf("only %d requests coalesced", s.metrics.coalesced.Load())
+			t.Fatalf("only %d requests coalesced", joined(s))
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -226,7 +226,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		close(started)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 42, Attempts: 1}, nil
@@ -278,7 +278,7 @@ func TestGracefulDrain(t *testing.T) {
 	defer ts.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		close(started)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 7, Attempts: 1}, nil
