@@ -18,6 +18,7 @@
 //	cmd/sgxgauge   — run individual workloads and inspect counters
 //	cmd/sgxreport  — regenerate every table and figure of the paper
 //
-// The benchmarks in bench_test.go regenerate each experiment under
-// `go test -bench`. See README.md, DESIGN.md and EXPERIMENTS.md.
+// hostbench/ benchmarks the simulator end to end, and
+// scripts/bench_ab.sh compares two revisions with it on one host. See
+// README.md, DESIGN.md and EXPERIMENTS.md.
 package sgxgauge

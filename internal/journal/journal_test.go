@@ -12,7 +12,7 @@ import (
 	"sgxgauge/internal/workloads/suite"
 )
 
-func testSpecWire(t *testing.T, seed int64) harness.SpecWire {
+func testSpecWire(t testing.TB, seed int64) harness.SpecWire {
 	t.Helper()
 	w, err := harness.Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low, EPCPages: 1024, Seed: seed}.Wire()
 	if err != nil {
@@ -21,7 +21,7 @@ func testSpecWire(t *testing.T, seed int64) harness.SpecWire {
 	return w
 }
 
-func testKey(t *testing.T, seed int64) string {
+func testKey(t testing.TB, seed int64) string {
 	t.Helper()
 	k, err := harness.SpecKey(harness.Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low, EPCPages: 1024, Seed: seed})
 	if err != nil {
@@ -30,7 +30,7 @@ func testKey(t *testing.T, seed int64) string {
 	return k.String()
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Journal {
+func mustOpen(t testing.TB, dir string, opts Options) *Journal {
 	t.Helper()
 	j, err := Open(dir, opts)
 	if err != nil {

@@ -24,7 +24,7 @@ var testResultOnce struct {
 	err error
 }
 
-func testResult(t *testing.T) (harness.Key, *harness.Result) {
+func testResult(t testing.TB) (harness.Key, *harness.Result) {
 	t.Helper()
 	o := &testResultOnce
 	o.Do(func() {

@@ -23,6 +23,16 @@ w1port=$((cport + 1))
 w2port=$((cport + 2))
 coord="http://127.0.0.1:$cport"
 
+# has URL PATTERN: some line of URL's body matches PATTERN. The body is
+# read in full before grep sees it: in `curl | grep -q` under pipefail,
+# grep quits on its first match and curl, writing into the closed pipe,
+# fails the pipeline (exit 23) although the line was there.
+has() {
+  local body
+  body=$(curl -sf "$1") || return 1
+  grep -q "$2" <<<"$body"
+}
+
 wait_healthy() {
   for _ in $(seq 1 50); do
     curl -sf "$1/healthz" >/dev/null && return 0
@@ -43,7 +53,7 @@ start_fleet() {
   wait_healthy "http://127.0.0.1:$w1port"
   wait_healthy "http://127.0.0.1:$w2port"
   for _ in $(seq 1 50); do
-    curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 2$' && return 0
+    has "$coord/metrics" '^sgxgauged_cluster_workers 2$' && return 0
     sleep 0.2
   done
   echo "cluster_smoke: workers never registered" >&2
@@ -67,8 +77,8 @@ curl -sf -X POST "$coord/v1/sweep" -d "$sweep" | grep '"event":"result"' >"$work
 grep -c '"event":"result"' "$workdir/pass1.ndjson" | grep -qx 4
 # The fleet did the work: the coordinator ran nothing locally, and
 # every spec landed in a worker's store.
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_local_runs_total 0$'
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_completed_total 4$'
+has "$coord/metrics" '^sgxgauged_cluster_local_runs_total 0$'
+has "$coord/metrics" '^sgxgauged_cluster_completed_total 4$'
 entries=0
 for port in "$w1port" "$w2port"; do
   n=$(curl -sf "http://127.0.0.1:$port/metrics" | sed -n 's/^sgxgauged_store_entries //p')
@@ -84,10 +94,10 @@ cmp "$workdir/pass1.ndjson" "$workdir/pass2.ndjson"
 # Zero simulations anywhere: the coordinator still ran nothing, and
 # each worker served its shard purely from its store — every store
 # read hit (no misses) and nothing new was persisted (no puts).
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_local_runs_total 0$'
+has "$coord/metrics" '^sgxgauged_cluster_local_runs_total 0$'
 for port in "$w1port" "$w2port"; do
-  curl -sf "http://127.0.0.1:$port/metrics" | grep -q '^sgxgauged_store_misses_total 0$'
-  curl -sf "http://127.0.0.1:$port/metrics" | grep -q '^sgxgauged_store_puts_total 0$'
+  has "http://127.0.0.1:$port/metrics" '^sgxgauged_store_misses_total 0$'
+  has "http://127.0.0.1:$port/metrics" '^sgxgauged_store_puts_total 0$'
 done
 stop_fleet
 

@@ -26,6 +26,16 @@ wport=$((cport + 1))
 rport=$((cport + 2))
 coord="http://127.0.0.1:$cport"
 
+# has URL PATTERN: some line of URL's body matches PATTERN. The body is
+# read in full before grep sees it: in `curl | grep -q` under pipefail,
+# grep quits on its first match and curl, writing into the closed pipe,
+# fails the pipeline (exit 23) although the line was there.
+has() {
+  local body
+  body=$(curl -sf "$1") || return 1
+  grep -q "$2" <<<"$body"
+}
+
 wait_healthy() {
   # healthz answers 503 while the journal replay is re-enqueuing, so
   # this also waits out recovery.
@@ -39,7 +49,7 @@ wait_healthy() {
 
 wait_workers() {
   for _ in $(seq 1 100); do
-    curl -sf "$coord/metrics" | grep -q "^sgxgauged_cluster_workers $1\$" && return 0
+    has "$coord/metrics" "^sgxgauged_cluster_workers $1\$" && return 0
     sleep 0.2
   done
   echo "crash_smoke: coordinator never saw $1 workers" >&2
@@ -121,12 +131,12 @@ wait "$worker_pid" 2>/dev/null || true
 # Deregistration is immediate; the 15s liveness TTL never enters into
 # it. Give the goodbye post a couple of seconds at most.
 for _ in $(seq 1 20); do
-  curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 0$' && break
+  has "$coord/metrics" '^sgxgauged_cluster_workers 0$' && break
   sleep 0.1
 done
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 0$' ||
+has "$coord/metrics" '^sgxgauged_cluster_workers 0$' ||
   { echo "crash_smoke: drained worker still registered" >&2; exit 1; }
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_drained_workers_total 1$' ||
+has "$coord/metrics" '^sgxgauged_cluster_drained_workers_total 1$' ||
   { echo "crash_smoke: drain was not counted as a graceful deregistration" >&2; exit 1; }
 
 echo "crash_smoke: OK"
