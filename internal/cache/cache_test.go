@@ -6,7 +6,7 @@ import (
 )
 
 func TestGeometry(t *testing.T) {
-	c := NewLLC(64*1024, 16)
+	c := NewLLC(64*1024, 16, 0)
 	if c.Ways() != 16 {
 		t.Errorf("ways = %d", c.Ways())
 	}
@@ -21,14 +21,14 @@ func TestGeometry(t *testing.T) {
 func TestInvalidWaysPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewLLC(_, 0) did not panic")
+			t.Error("NewLLC(_, 0, 0) did not panic")
 		}
 	}()
-	NewLLC(1024, 0)
+	NewLLC(1024, 0, 0)
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := NewLLC(64*1024, 8)
+	c := NewLLC(64*1024, 8, 0)
 	if c.Access(12345) {
 		t.Fatal("first access hit")
 	}
@@ -42,7 +42,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestSetConflictEviction(t *testing.T) {
-	c := NewLLC(8*64, 2) // 4 sets x 2 ways
+	c := NewLLC(8*64, 2, 0) // 4 sets x 2 ways
 	sets := uint64(c.Sets())
 	// Fill one set beyond capacity: lines 0, sets, 2*sets... map to
 	// set 0.
@@ -55,7 +55,7 @@ func TestSetConflictEviction(t *testing.T) {
 }
 
 func TestFlush(t *testing.T) {
-	c := NewLLC(64*1024, 8)
+	c := NewLLC(64*1024, 8, 0)
 	for i := uint64(0); i < 100; i++ {
 		c.Access(i)
 	}
@@ -66,7 +66,7 @@ func TestFlush(t *testing.T) {
 }
 
 func TestInvalidateRange(t *testing.T) {
-	c := NewLLC(64*1024, 8)
+	c := NewLLC(64*1024, 8, 0)
 	for i := uint64(0); i < 64; i++ {
 		c.Access(1000 + i)
 	}
@@ -79,42 +79,13 @@ func TestInvalidateRange(t *testing.T) {
 }
 
 func TestInvalidateRangeLeavesOthers(t *testing.T) {
-	c := NewLLC(64*1024, 8)
+	c := NewLLC(64*1024, 8, 0)
 	c.Access(1)
 	c.Access(100000)
 	c.InvalidateRange(100000, 1)
 	if !c.Access(1) {
 		t.Error("unrelated line was invalidated")
 	}
-}
-
-func TestEvictEveryNth(t *testing.T) {
-	c := NewLLC(64*1024, 8)
-	for i := uint64(0); i < 512; i++ {
-		c.Access(i)
-	}
-	before := hitCount(c, 512)
-	c.EvictEveryNth(8, 0)
-	after := hitCount(c, 512)
-	if after >= before {
-		t.Errorf("pollution did not evict anything: %d -> %d", before, after)
-	}
-	// Roughly 1/8 of lines should be gone (hitCount re-installs, so
-	// just check a meaningful drop bounded by ~1/4).
-	if before-after > 512/4 {
-		t.Errorf("pollution too aggressive: lost %d of %d", before-after, before)
-	}
-	c.EvictEveryNth(0, 0) // n=0 is a no-op, must not panic or hang
-}
-
-func hitCount(c *LLC, n uint64) int {
-	hits := 0
-	for i := uint64(0); i < n; i++ {
-		if c.Access(i) {
-			hits++
-		}
-	}
-	return hits
 }
 
 // TestAccessRunMatchesAccessLoop drives two identical caches with a
@@ -125,8 +96,8 @@ func hitCount(c *LLC, n uint64) int {
 // exactly "Access in a loop"; this pins it against the bulk path's
 // unrolled internals.
 func TestAccessRunMatchesAccessLoop(t *testing.T) {
-	a := NewLLC(16*1024, 4) // small: plenty of conflict evictions
-	b := NewLLC(16*1024, 4)
+	a := NewLLC(16*1024, 4, 0) // small: plenty of conflict evictions
+	b := NewLLC(16*1024, 4, 0)
 	rng := uint64(0x1234abcd)
 	next := func(n uint64) uint64 {
 		rng ^= rng << 13
@@ -163,16 +134,16 @@ func TestAccessRunMatchesAccessLoop(t *testing.T) {
 				t.Fatalf("step %d: tags[%d] = %d want %d", step, i, a.tags[i], b.tags[i])
 			}
 		}
-		for i := range a.next {
-			if a.next[i] != b.next[i] {
-				t.Fatalf("step %d: next[%d] = %d want %d", step, i, a.next[i], b.next[i])
+		for i := range a.meta {
+			if a.meta[i] != b.meta[i] {
+				t.Fatalf("step %d: set %d state %+v want %+v", step, i, a.meta[i], b.meta[i])
 			}
 		}
 	}
 }
 
 func TestRepeatedAccessAlwaysHitsProperty(t *testing.T) {
-	c := NewLLC(256*1024, 16)
+	c := NewLLC(256*1024, 16, 0)
 	f := func(line uint64) bool {
 		c.Access(line)
 		return c.Access(line) // immediate re-access must hit
@@ -183,7 +154,7 @@ func TestRepeatedAccessAlwaysHitsProperty(t *testing.T) {
 }
 
 func TestWorkingSetWithinCapacityHits(t *testing.T) {
-	c := NewLLC(64*1024, 8)
+	c := NewLLC(64*1024, 8, 0)
 	lines := uint64(c.Sets()) // one line per set: no conflicts
 	for pass := 0; pass < 3; pass++ {
 		miss := 0

@@ -10,6 +10,7 @@ import (
 	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
+	"sgxgauge/internal/workloads/scenario"
 	"sgxgauge/internal/workloads/suite"
 )
 
@@ -218,4 +219,75 @@ func TestHookedSpecsBypassCache(t *testing.T) {
 	if got := hooked.Load(); got != 2 {
 		t.Errorf("hookless runs invoked the hook (%d calls)", got)
 	}
+}
+
+// FuzzSpecWire feeds arbitrary bytes to the strict spec decoder the
+// daemon and the journal use. It must never panic, and every spec it
+// accepts must survive Spec → Wire → Spec unchanged, with the second
+// wire form — and so the cache key — equal to the first.
+func FuzzSpecWire(f *testing.F) {
+	btree, err := suite.ByName("BTree")
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := []Spec{
+		{Workload: btree, Mode: sgx.Native, Size: workloads.Medium},
+		{Workload: suite.Empty(), Mode: sgx.LibOS, Size: workloads.Low, EPCPages: 4096, Seed: 1},
+		{
+			Workload: btree, Mode: sgx.LibOS, Size: workloads.High, EPCPages: 1024, Seed: 42,
+			Switchless: true, ProtectedFiles: true, Timeline: 7,
+			Params:  &workloads.Params{Size: workloads.Low, Threads: 2, Knobs: map[string]int64{"ops": 500, "keys": 100}},
+			Machine: &sgx.Config{EPCPages: 1024, TLBEntries: 64, Switchless: true},
+			Chaos:   &chaos.Config{Seed: 9, Rate: 0.01, AEXStorm: true},
+		},
+	}
+	for _, name := range scenario.Names() {
+		spec, err := NewScenarioSpec(name, 3)
+		if err != nil {
+			f.Fatal(err)
+		}
+		spec.Seed = 5
+		seeds = append(seeds, spec)
+	}
+	for _, spec := range seeds {
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte(`{"workload":"BTree","mode":"Native","size":"Low","scenario":{"version":1,"name":"consensus"}}`))
+	f.Add([]byte(`{"mode":"Native","size":"Low","machine":{"costs":{"PollutionDenom":7}}}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var first Spec
+		if err := first.UnmarshalJSON(data); err != nil {
+			return
+		}
+		w1, err := first.Wire()
+		if err != nil {
+			t.Fatalf("decoded spec does not encode: %v", err)
+		}
+		second, err := w1.Spec()
+		if err != nil {
+			t.Fatalf("wire form of a decoded spec does not resolve: %v", err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("Spec → Wire → Spec drifted:\n  in:  %+v\n  out: %+v", first, second)
+		}
+		w2, err := second.Wire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(w1, w2) {
+			t.Fatalf("wire form is not a fixed point:\n  %+v\n  %+v", w1, w2)
+		}
+		k1, err := SpecKey(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k2, err := SpecKey(second); err != nil || k1 != k2 {
+			t.Fatalf("round trip moved the key: %v vs %v (%v)", k1, k2, err)
+		}
+	})
 }

@@ -4,6 +4,7 @@
 package sgx_test
 
 import (
+	"fmt"
 	"testing"
 
 	"sgxgauge/internal/mem"
@@ -183,18 +184,25 @@ func BenchmarkECall(b *testing.B) {
 }
 
 // BenchmarkOCall measures one simulated OCALL round trip from inside
-// an enclave.
+// a tiny enclave on machines whose dTLB and LLC are sized by the EPC
+// (LLC 512 KB, 8 MB and 32 MB). Each round trip flushes the dTLB and
+// pollutes the LLC twice; neither may cost the host more on a bigger
+// machine.
 func BenchmarkOCall(b *testing.B) {
-	m := sgx.NewMachine(sgx.Config{EPCPages: 64})
-	env := m.NewEnv(sgx.Native)
-	if _, err := env.LaunchEnclave(2, 32); err != nil {
-		b.Fatal(err)
+	for _, pages := range []int{256, 4096, 23552} {
+		b.Run(fmt.Sprintf("epc%d", pages), func(b *testing.B) {
+			m := sgx.NewMachine(sgx.Config{EPCPages: pages})
+			env := m.NewEnv(sgx.Native)
+			if _, err := env.LaunchEnclave(2, 32); err != nil {
+				b.Fatal(err)
+			}
+			tr := env.Main
+			b.ResetTimer()
+			tr.ECall(func() {
+				for i := 0; i < b.N; i++ {
+					tr.OCall(func() {})
+				}
+			})
+		})
 	}
-	tr := env.Main
-	b.ResetTimer()
-	tr.ECall(func() {
-		for i := 0; i < b.N; i++ {
-			tr.OCall(func() {})
-		}
-	})
 }

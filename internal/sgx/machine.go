@@ -219,10 +219,9 @@ type Machine struct {
 	nextEnclave uint32
 	enclaveNext uint64 // next free enclave VA (stride-aligned cursor)
 
-	threads        []*Thread
-	pollutionPhase uint64
-	switchlessSeq  uint64
-	tracer         func(TraceEvent)
+	threads       []*Thread
+	switchlessSeq uint64
+	tracer        func(TraceEvent)
 
 	// chaos, when non-nil, is the adversarial-OS fault injector;
 	// rollbackStash keeps the stale sealed pages it replays.
@@ -275,7 +274,7 @@ func NewMachine(cfg Config) *Machine {
 		Engine:        engine,
 		Backing:       backing,
 		EPC:           epc.New(cfg.EPCPages, engine, backing, counters),
-		LLC:           cache.NewLLC(cfg.LLCBytes, cfg.LLCWays),
+		LLC:           cache.NewLLC(cfg.LLCBytes, cfg.LLCWays, cfg.Costs.PollutionDenom),
 		untrusted:     make(map[uint64]*mem.Frame),
 		untrustedNext: untrustedBase,
 		nextEnclave:   1, // enclave 0 is reserved for untrusted memory

@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"crypto/sha256"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -387,6 +388,65 @@ func TestSnapshotCloneContinuesIdentically(t *testing.T) {
 	}
 	if clone.Enclave.Measurement() != fresh.Enclave.Measurement() {
 		t.Error("clone measurement differs")
+	}
+}
+
+// TestSnapshotClonesApplyPendingPollution: a machine frozen right
+// after a burst of OCALLs owes pollution to every LLC set those calls
+// reached and that it has not read since. Clones apply it on their own
+// copies as they run: two clones doing OCALL-heavy work end exactly
+// where a machine that booted and ran the same program itself does,
+// and the frozen LLC — tags and pending state — is unchanged.
+func TestSnapshotClonesApplyPendingPollution(t *testing.T) {
+	launch := func() *Env {
+		env := NewMachine(Config{EPCPages: 64}).NewEnv(LibOS)
+		if _, err := env.LaunchEnclave(100, 200); err != nil {
+			t.Fatal(err)
+		}
+		env.EnterPermanently()
+		for p := uint64(0); p < 100; p++ {
+			env.Main.WriteU64(env.Enclave.Base+p*mem.PageSize, p)
+		}
+		// Nothing touches the LLC after these; their pollution stays
+		// pending in the frozen machine.
+		for i := 0; i < 40; i++ {
+			env.Main.OCall(func() {})
+		}
+		return env
+	}
+	program := func(env *Env) (uint64, perf.Snapshot) {
+		t := env.Main
+		for i := uint64(0); i < 400; i++ {
+			t.ReadU64(env.Enclave.Base + (i*13%100)*mem.PageSize + i%64*8)
+			t.Syscall(16)
+			t.OCall(func() { t.ReadU64(env.Enclave.Base + (i*7%200)*mem.PageSize) })
+		}
+		return env.Elapsed(), env.Snapshot()
+	}
+	llcSum := func(env *Env) [32]byte {
+		h := sha256.New()
+		env.M.LLC.Hash(h)
+		var sum [32]byte
+		h.Sum(sum[:0])
+		return sum
+	}
+	frozen := launch()
+	snap, err := Freeze(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprint, llc := snap.Fingerprint(), llcSum(frozen)
+	wantCycles, wantCounters := program(launch())
+	for i := 0; i < 2; i++ {
+		if cycles, counters := program(snap.Clone()); cycles != wantCycles || counters != wantCounters {
+			t.Errorf("clone %d: %d cycles %v\nfresh: %d cycles %v", i, cycles, counters, wantCycles, wantCounters)
+		}
+	}
+	if llcSum(frozen) != llc {
+		t.Error("running clones changed the frozen LLC")
+	}
+	if snap.Fingerprint() != fingerprint {
+		t.Error("running clones changed the frozen machine")
 	}
 }
 

@@ -76,7 +76,7 @@ func (s *Snapshot) Clone() *Env {
 		m.enclaves = append(m.enclaves, c)
 	}
 	m.nextEnclave, m.enclaveNext = src.nextEnclave, src.enclaveNext
-	m.pollutionPhase, m.switchlessSeq = src.pollutionPhase, src.switchlessSeq
+	m.switchlessSeq = src.switchlessSeq
 
 	envs := make(map[*Env]*Env)
 	for _, t := range src.threads {
@@ -116,13 +116,14 @@ func (s *Snapshot) Clone() *Env {
 }
 
 // Fingerprint returns a SHA-256 over the frozen machine's sealed
-// pages and EPC (slot table and frame arena): the state clones share
-// or copy. It lets tests prove that running clones leaves the
-// snapshot untouched.
+// pages, EPC (slot table and frame arena) and LLC (tags and pending
+// pollution): the state clones share or copy. It lets tests prove
+// that running clones leaves the snapshot untouched.
 func (s *Snapshot) Fingerprint() [32]byte {
 	h := sha256.New()
 	s.env.M.Backing.Hash(h)
 	s.env.M.EPC.Hash(h)
+	s.env.M.LLC.Hash(h)
 	var sum [32]byte
 	h.Sum(sum[:0])
 	return sum

@@ -113,15 +113,11 @@ func (t *Thread) Env() *Env { return t.env }
 func (t *Thread) flushTLB() {
 	t.tlb.Flush()
 	t.memoClear()
-	m := t.env.M
 	t.shard.Inc(perf.TLBFlushes)
 	// Transitions pollute the LLC: the kernel/microcode path
 	// displaces a slice of the cache (part of the "cache pollution"
 	// cost of frequent enclave transitions, paper §2.3).
-	if d := m.Costs.PollutionDenom; d > 0 {
-		m.LLC.EvictEveryNth(d, m.pollutionPhase)
-		m.pollutionPhase++
-	}
+	t.env.M.LLC.Pollute()
 }
 
 // transitionCost scales a base exit-path transition cost by the

@@ -8,12 +8,13 @@
 // Figures 2, 5 and 8 are emergent behaviour of this component.
 package tlb
 
-// Each slot carries the flush epoch it was filled in, so Flush — which
-// runs on every simulated enclave transition — is a counter bump plus
-// an O(sets) round-robin reset instead of clearing the whole entry
-// array: a slot whose epoch differs from the current one is invalid.
-// When the epoch counter wraps, the arrays are cleared eagerly once so
-// entries surviving from 2^32 flushes ago can never false-hit.
+// Each slot carries the flush epoch it was filled in, and each set's
+// round-robin pointer the epoch it was set in, so Flush — which runs
+// on every simulated enclave transition — is a counter bump whatever
+// the TLB's size: a slot whose epoch differs from the current one is
+// invalid, and a pointer from an older epoch reads as way 0. When the
+// epoch counter wraps, the arrays are cleared eagerly once so entries
+// surviving from 2^32 flushes ago can never false-hit.
 
 // DTLB is a set-associative translation lookaside buffer over virtual
 // page numbers, with round-robin replacement within a set. It is not
@@ -24,9 +25,10 @@ type DTLB struct {
 	setMask uint64
 	// tags holds vpn+1 per slot so the zero value is never a live
 	// entry; a slot is valid iff tags[i] != 0 and epochs[i] == epoch.
-	tags    []uint64
-	epochs  []uint32
-	next    []uint32
+	tags   []uint64
+	epochs []uint32
+	// next holds each set's round-robin victim as epoch<<32 | way.
+	next    []uint64
 	epoch   uint32
 	flushes uint64
 }
@@ -54,7 +56,7 @@ func New(entries, ways int) *DTLB {
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*ways),
 		epochs:  make([]uint32, sets*ways),
-		next:    make([]uint32, sets),
+		next:    make([]uint64, sets),
 	}
 }
 
@@ -100,13 +102,16 @@ func (t *DTLB) Insert(vpn uint64) (victim uint64, evicted bool) {
 			return 0, false
 		}
 	}
-	v := int(t.next[set]) % t.ways // guard against ways beyond the index range
+	v := 0
+	if p := t.next[set]; uint32(p>>32) == t.epoch {
+		v = int(uint32(p)) % t.ways // guard against ways beyond the index range
+	}
 	if old := t.tags[base+v]; old != 0 && t.epochs[base+v] == t.epoch {
 		victim, evicted = old-1, true
 	}
 	t.tags[base+v] = tag
 	t.epochs[base+v] = t.epoch
-	t.next[set] = uint32((v + 1) % t.ways)
+	t.next[set] = uint64(t.epoch)<<32 | uint64((v+1)%t.ways)
 	return victim, evicted
 }
 
@@ -123,20 +128,15 @@ func (t *DTLB) Evict(vpn uint64) {
 	}
 }
 
-// Flush invalidates every entry, as happens on each enclave
-// transition. Invalidation is a lazy epoch bump; only the per-set
-// round-robin pointers are reset eagerly (their state is part of the
-// replacement semantics a real flush restarts).
+// Flush invalidates every entry and restarts every set's round robin
+// at way 0, as happens on each enclave transition. Both are a lazy
+// epoch bump.
 func (t *DTLB) Flush() {
 	t.epoch++
 	if t.epoch == 0 { // wrapped: clear eagerly so stale epochs can't match
-		for i := range t.tags {
-			t.tags[i] = 0
-			t.epochs[i] = 0
-		}
-	}
-	for i := range t.next {
-		t.next[i] = 0
+		clear(t.tags)
+		clear(t.epochs)
+		clear(t.next)
 	}
 	t.flushes++
 }

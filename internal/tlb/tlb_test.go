@@ -156,6 +156,37 @@ func TestFlushIsLazyButComplete(t *testing.T) {
 	}
 }
 
+// TestFlushRestartsRoundRobin: after a flush — including one that
+// wraps the epoch back to one a set's pointer was last moved in — a
+// set's first insert lands in way 0, whatever way its round robin had
+// reached before.
+func TestFlushRestartsRoundRobin(t *testing.T) {
+	d := New(16, 4)
+	sets := uint64(d.sets)
+	fill := func(set uint64) { // leaves set's round robin at way 3
+		for i := uint64(0); i < 3; i++ {
+			d.Insert(set + i*sets)
+		}
+	}
+	check := func(set uint64, when string) {
+		t.Helper()
+		vpn := set + 7*sets
+		d.Insert(vpn)
+		if got := d.tags[int(set)*d.ways]; got != vpn+1 {
+			t.Errorf("%s: set %d's first insert missed way 0 (tags %v)", when, set, d.tags[int(set)*d.ways:][:d.ways])
+		}
+	}
+	fill(0)
+	fill(1)
+	d.Flush()
+	check(0, "after a flush")
+	d.epoch = ^uint32(0)
+	fill(0)
+	d.Flush() // wraps to epoch 0, the epoch set 1's pointer was moved in
+	check(0, "after the epoch wraps")
+	check(1, "after the epoch wraps")
+}
+
 func TestEvictAfterFlushDoesNotTouchNewEpoch(t *testing.T) {
 	// A stale same-vpn entry from before a flush must not shadow the
 	// current-epoch entry when Evict runs: evicting after re-insert

@@ -21,7 +21,9 @@ trap cleanup EXIT
 
 go build -o "$workdir/sgxgauged" ./cmd/sgxgauged
 
-cport=$((20000 + RANDOM % 20000))
+# Ports stay below 32768, where Linux's default ephemeral range
+# (32768-60999) begins: an outgoing connection may hold any port in it.
+cport=$((20000 + RANDOM % 12000))
 wport=$((cport + 1))
 rport=$((cport + 2))
 coord="http://127.0.0.1:$cport"

@@ -21,7 +21,9 @@ trap cleanup EXIT
 
 go build -o "$workdir/sgxgauged" ./cmd/sgxgauged
 
-port=$((24000 + RANDOM % 20000))
+# Ports stay below 32768, where Linux's default ephemeral range
+# (32768-60999) begins: an outgoing connection may hold any port in it.
+port=$((24000 + RANDOM % 8000))
 w1port=$((port + 1))
 w2port=$((port + 2))
 base="http://127.0.0.1:$port"
